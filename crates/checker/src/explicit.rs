@@ -518,7 +518,13 @@ impl<'a> ExplicitChecker<'a> {
             self.signal_base.get(),
         );
         match step {
-            BuildStep::Done(graph) => Ok((Rc::new(graph), fresh_origin, 0, 0)),
+            BuildStep::Done(mut graph) => {
+                // the graph will survive in the lineage past this valuation
+                if self.lineage.is_some() {
+                    graph.shrink_to_fit();
+                }
+                Ok((Rc::new(graph), fresh_origin, 0, 0))
+            }
             BuildStep::Suspended(_, kind) => Err(kind),
         }
     }

@@ -75,6 +75,45 @@ impl GameGraph {
         &self.edge_list[start as usize..end as usize]
     }
 
+    /// A dense copy of the arenas over the nodes of `order`, laid out in
+    /// that order with each node's action order preserved, minus the
+    /// actions `keep` rejects (given the owning node and the action's
+    /// edges).  Drops the garbage runs that re-recorded node spans leave
+    /// behind.  Returns the copy and the number of actions rejected.
+    pub(crate) fn compacted(
+        &self,
+        order: &[u32],
+        mut keep: impl FnMut(u32, &[(ScheduledStep, u32)]) -> bool,
+    ) -> (GameGraph, usize) {
+        let mut out = CsrRecorder::default();
+        let mut rejected = 0;
+        for &node in order {
+            out.begin_node();
+            for a in self.actions_of(node) {
+                let edges = self.edges_of(a);
+                if !keep(node, edges) {
+                    rejected += 1;
+                    continue;
+                }
+                out.begin_action();
+                for &(step, to) in edges {
+                    out.edge(step, to);
+                }
+                out.end_action(node);
+            }
+            out.end_node(node);
+        }
+        (out.graph, rejected)
+    }
+
+    /// Releases the spare capacity the arenas grew into while recording.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.node_spans.shrink_to_fit();
+        self.action_nodes.shrink_to_fit();
+        self.action_spans.shrink_to_fit();
+        self.edge_list.shrink_to_fit();
+    }
+
     /// Resident bytes of the CSR arenas (node spans, action table, edges).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.node_spans.len() * std::mem::size_of::<(u32, u32)>()

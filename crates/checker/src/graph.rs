@@ -191,7 +191,9 @@ pub(crate) enum LineageStep {
 /// sweep gives each grid worker one lineage for its contiguous block of
 /// valuations — and handed to each per-valuation
 /// [`crate::ExplicitChecker`] via
-/// [`crate::ExplicitChecker::with_pool_and_lineage`].
+/// [`crate::ExplicitChecker::with_pool_and_lineage`].  Survivors stay
+/// resident, rows and intern index intact, between valuations: an
+/// identical step hands the graph back with no work at all.
 #[derive(Default)]
 pub struct GraphLineage {
     entries: RefCell<Vec<LineageEntry>>,
@@ -217,7 +219,7 @@ impl GraphLineage {
         pool: &WorkerPool,
         signals: Option<&JobSignals>,
     ) -> LineageStep {
-        let mut entry = {
+        let entry = {
             let mut entries = self.entries.borrow_mut();
             match entries.iter().position(|e| e.start == start) {
                 Some(pos) => entries.remove(pos),
@@ -230,24 +232,15 @@ impl GraphLineage {
             return LineageStep::Build { rebuilt: true };
         }
         match classify_guard_step(&entry.bounds, bounds) {
-            GuardStep::Identical => {
-                // a parked survivor re-entering service decodes its row
-                // arena first (sole ownership is guaranteed whenever the
-                // graph was parked — parking skips shared graphs)
-                if let Some(graph) = Rc::get_mut(&mut entry.graph) {
-                    graph.unpark();
-                }
-                LineageStep::Reuse(entry.graph)
-            }
+            GuardStep::Identical => LineageStep::Reuse(entry.graph),
             GuardStep::Mixed => LineageStep::Build { rebuilt: true },
             GuardStep::TightenOnly { changed } => {
                 if !crate::explorer::resolved_tighten_prune(options) {
                     return LineageStep::Build { rebuilt: true };
                 }
-                let Ok(mut graph) = Rc::try_unwrap(entry.graph) else {
+                let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                graph.unpark();
                 let (pruned, cut) = graph.prune(sys, &changed);
                 LineageStep::Prune(Rc::new(pruned), cut)
             }
@@ -255,10 +248,9 @@ impl GraphLineage {
                 // the previous valuation's checker has been dropped, so the
                 // lineage holds the only reference; if anything else still
                 // pins the graph, fall back to a fresh build
-                let Ok(mut graph) = Rc::try_unwrap(entry.graph) else {
+                let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                graph.unpark();
                 match graph.extend(sys, &changed, &entry.bounds, options, pool, signals) {
                     Ok((extended, seeds)) => LineageStep::Extend(Rc::new(extended), seeds),
                     // a resource budget (or a job signal) tripped
@@ -304,29 +296,6 @@ impl GraphLineage {
             .iter()
             .map(|e| e.graph.resident_bytes())
             .sum()
-    }
-
-    /// Parks every solely-owned surviving graph between valuations:
-    /// delta-encodes the row arenas, drops the intern indexes and compacts
-    /// CSR garbage (see the "Verdict memoization & lineage compaction"
-    /// crate docs).  Graphs still pinned elsewhere (a checkpoint, a live
-    /// checker) are skipped — parking requires exclusive access because
-    /// [`GraphLineage::adopt`] must be able to unpark in place.  Returns
-    /// the `(resident bytes before, resident bytes after)` totals over the
-    /// graphs parked by *this* call, for the sweep's compression counters.
-    pub(crate) fn park_all(&self) -> (usize, usize) {
-        let (mut full, mut compact) = (0, 0);
-        for entry in self.entries.borrow_mut().iter_mut() {
-            if let Some(graph) = Rc::get_mut(&mut entry.graph) {
-                if graph.is_parked() {
-                    continue;
-                }
-                let (f, c) = graph.park();
-                full += f;
-                compact += c;
-            }
-        }
-        (full, compact)
     }
 }
 
@@ -626,15 +595,17 @@ impl ReachGraph {
     }
 
     /// Extends a *complete* cached graph across a relax-only valuation step
-    /// (see the "Incremental sweeps" crate docs): every stored row on which
-    /// one of the `changed` rules is newly enabled — it fires under the new
-    /// bounds but not under `old_bounds` — seeds the explorer's frontier,
+    /// (see the "Incremental sweeps" crate docs): every reachable row on
+    /// which one of the `changed` rules is newly enabled — it fires under
+    /// the new bounds but not under `old_bounds` — seeds the explorer's
+    /// frontier, along with every stored row an earlier prune cut off;
     /// those nodes are re-expanded (their CSR spans are replaced with the
     /// full new action list), and fresh successors continue the
     /// level-synchronous BFS, appending to the store and the CSR arenas in
     /// place.  A final [`ReachGraph::relink`] pass re-derives the discovery
     /// order, the first-discovery parents and the state/transition counts
-    /// by replaying a BFS over the final cached edges, which makes every
+    /// by replaying a BFS over the final cached edges, and the CSR arenas
+    /// are then compacted around the replaced spans, which makes every
     /// analysis pass — verdicts, counts, counterexample schedules —
     /// bit-identical to a from-scratch build of the new valuation.
     ///
@@ -679,13 +650,22 @@ impl ReachGraph {
                 seeds.push(node);
             }
         }
-        let seed_count = seeds.len();
-        if seed_count == 0 {
+        if seeds.is_empty() {
             // no stored row unlocks anything new, so the weakened bounds are
             // unobservable on the reachable fragment: the graph — including
             // its counts and parents — is already the fresh build's
             return Ok((self, 0));
         }
+        // rows an earlier prune cut off stay interned, but their action
+        // lists describe older bounds (or were compacted away); the new
+        // frontier may reach them again, and the explorer never expands a
+        // stored row it meets, so re-expand them all under the new bounds
+        let mut reachable = vec![false; self.store.id_bound()];
+        for &node in &self.discovery {
+            reachable[node as usize] = true;
+        }
+        seeds.extend(self.store.ids().filter(|&id| !reachable[id as usize]));
+        let seed_count = seeds.len();
 
         // the previous build was complete, so its state count equals the
         // store population: the resuming explorer's budget counters continue
@@ -715,6 +695,10 @@ impl ReachGraph {
             }
         }
         self.relink();
+        // every re-expanded seed left its old action runs behind: lay the
+        // arenas out densely again, as a fresh build would
+        self.graph = self.graph.compacted(&self.discovery, |_, _| true).0;
+        self.shrink_to_fit();
         // the edges changed: memoised verdicts no longer describe this
         // graph (the zero-seed early return above keeps them — the graph
         // is untouched there)
@@ -726,8 +710,7 @@ impl ReachGraph {
     /// Prunes a *complete* cached graph across a tighten-only valuation
     /// step: every cached action of a `changed` rule is re-validated
     /// against the tightened guard bounds on its source row, dead actions
-    /// are cut, and the CSR arenas are compacted around the survivors
-    /// (which also drops garbage spans left behind by earlier extends).
+    /// are cut, and the CSR arenas are compacted around the survivors.
     /// Rows that become unreachable stay interned but are excluded from the
     /// re-derived discovery order by the final [`ReachGraph::relink`] —
     /// every analysis pass iterates discovery or walks edges from the start
@@ -744,36 +727,20 @@ impl ReachGraph {
         for &rule in changed {
             is_changed[rule] = true;
         }
-        let old = std::mem::take(&mut self.graph);
-        let mut compact = CsrRecorder::default();
-        let mut cut = 0usize;
-        // walk nodes in discovery order so the compacted arenas are laid
-        // out the way a fresh enumeration would visit them; per-node action
-        // order is preserved, and tightening only removes actions, so the
-        // surviving list is exactly the fresh build's
-        for &node in &self.discovery {
-            let row = self.store.row(node);
-            let vars = &row[num_locations..];
-            compact.begin_node();
-            for a in old.actions_of(node) {
-                let edges = old.edges_of(a);
-                let rule = edges
-                    .first()
-                    .map(|&(step, _)| step.action.rule)
-                    .unwrap_or(RuleId(0));
-                if is_changed[rule.0] && !sys.rule_guard_holds_bytes(rule, vars) {
-                    cut += 1;
-                    continue;
-                }
-                compact.begin_action();
-                for &(step, to) in edges {
-                    compact.edge(step, to);
-                }
-                compact.end_action(node);
-            }
-            compact.end_node(node);
-        }
-        self.graph = compact.graph;
+        // compact in discovery order so the arenas are laid out the way a
+        // fresh enumeration would visit them; per-node action order is
+        // preserved, and tightening only removes actions, so the surviving
+        // list is exactly the fresh build's
+        let (graph, cut) = self.graph.compacted(&self.discovery, |node, edges| {
+            let rule = edges
+                .first()
+                .map(|&(step, _)| step.action.rule)
+                .unwrap_or(RuleId(0));
+            !is_changed[rule.0]
+                || sys.rule_guard_holds_bytes(rule, &self.store.row(node)[num_locations..])
+        });
+        self.graph = graph;
+        self.graph.shrink_to_fit();
         self.relink();
         self.generation += 1;
         self.memo.borrow_mut().clear();
@@ -822,6 +789,15 @@ impl ReachGraph {
         self.parents = Some(parents);
     }
 
+    /// Releases the spare capacity of a finished graph's arenas: a lineage
+    /// survivor stays resident for as long as its valuations last, next to
+    /// the graphs other sweep workers are building.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.store.shrink_to_fit();
+        self.graph.shrink_to_fit();
+        self.discovery.shrink_to_fit();
+    }
+
     /// Rebuilds the initial configuration and schedule leading to a node:
     /// from the re-derived parents of an extended graph, or straight from
     /// the store's first-discovery edges for a fresh build (which are the
@@ -868,50 +844,6 @@ impl ReachGraph {
     /// Number of transitions explored for the cached graph.
     pub(crate) fn transitions(&self) -> usize {
         self.transitions
-    }
-
-    /// Parks the cached graph between valuations: delta-encodes the row
-    /// arena and drops the intern index ([`StateStore::park`]), and
-    /// compacts CSR garbage left behind by earlier extends.  Returns the
-    /// `(before, after)` resident-byte figures.  The parked graph still
-    /// answers nothing — [`ReachGraph::unpark`] must run before any
-    /// evaluation or extension, which [`GraphLineage::adopt`] does.
-    pub(crate) fn park(&mut self) -> (usize, usize) {
-        let full = self.resident_bytes();
-        // compact only when extends actually left garbage runs behind — a
-        // fresh or pruned graph's arenas are already dense
-        let referenced: usize = (0..self.graph.node_spans.len() as u32)
-            .map(|n| self.graph.actions_of(n).len())
-            .sum();
-        if referenced < self.graph.action_spans.len() {
-            let old = std::mem::take(&mut self.graph);
-            let mut compact = CsrRecorder::default();
-            for &node in &self.discovery {
-                compact.begin_node();
-                for a in old.actions_of(node) {
-                    compact.begin_action();
-                    for &(step, to) in old.edges_of(a) {
-                        compact.edge(step, to);
-                    }
-                    compact.end_action(node);
-                }
-                compact.end_node(node);
-            }
-            self.graph = compact.graph;
-        }
-        self.store.park();
-        (full, self.resident_bytes())
-    }
-
-    /// Restores a parked graph to full service: decodes the row arena and
-    /// rebuilds the intern index, bit-identically (see [`StateStore::unpark`]).
-    pub(crate) fn unpark(&mut self) {
-        self.store.unpark();
-    }
-
-    /// Whether the graph's store is currently parked.
-    pub(crate) fn is_parked(&self) -> bool {
-        self.store.is_parked()
     }
 
     /// Evaluates one obligation through the per-graph verdict memo: an
@@ -1640,31 +1572,5 @@ mod tests {
         let (third, hit) = graph.evaluate_memo(&sys, &spec, &off, None);
         assert!(!hit);
         assert_eq!(first, third);
-    }
-
-    #[test]
-    fn parked_graphs_unpark_bit_identically() {
-        let model = crate::fixtures::voting_model().single_round().unwrap();
-        let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
-        let pool = WorkerPool::new(1);
-        let options = CheckerOptions::default();
-        let start = StartRestriction::RoundStart;
-        let mut graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
-        let spec = Spec::NeverFrom {
-            name: "reachable-E0".into(),
-            start,
-            forbidden: LocSet::from_names(sys.model(), "E0", &["E0"]),
-        };
-        let before = graph.evaluate(&sys, &spec, &options, None);
-        let (full, compact) = graph.park();
-        assert!(graph.is_parked());
-        assert!(
-            compact < full,
-            "delta-encoding must shrink the parked graph ({compact} !< {full})"
-        );
-        graph.unpark();
-        assert!(!graph.is_parked());
-        let after = graph.evaluate(&sys, &spec, &options, None);
-        assert_eq!(before, after, "a park/unpark round trip changes nothing");
     }
 }

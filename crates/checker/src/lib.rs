@@ -129,15 +129,18 @@
 //!   can only shrink, so the graph is *pruned* in place, see below), or
 //!   **mixed** (re-explore from scratch; *rebuilt*).
 //! * **Extension.**  A relax-only step seeds the explorer's frontier with
-//!   exactly the stored rows on which a newly-enabled rule fires (old
-//!   bounds re-evaluated on the row, new bounds from the new system); the
+//!   exactly the reachable rows on which a newly-enabled rule fires (old
+//!   bounds re-evaluated on the row, new bounds from the new system),
+//!   plus every stored row an earlier prune cut off (its action list
+//!   describes older bounds, and the new frontier may reach it); the
 //!   seeds are re-expanded — their CSR spans are *replaced* with the full
 //!   new action list — and fresh successors continue the ordinary
 //!   level-synchronous BFS, appending to the [`StateStore`] and the CSR
 //!   arenas in place.  A final *relink* pass replays a BFS over the final
 //!   cached edges, re-deriving the discovery order, the first-discovery
 //!   parent edges and the state/transition counts exactly as a
-//!   from-scratch build at `v'` would have produced them — so verdicts,
+//!   from-scratch build at `v'` would have produced them, and the CSR
+//!   arenas are compacted around the replaced spans — so verdicts,
 //!   counts and counterexample schedules are **bit-identical** to a fresh
 //!   sweep (pinned by `random_differential`'s incremental axis and the
 //!   extended-graph half of `counterexample_replay`).
@@ -147,9 +150,13 @@
 //!   precisely so adjacent cells are guard-adjacent); at most one graph
 //!   per start-restriction group survives at a time, dropped when
 //!   classification discards it or the worker finishes its block.
-//!   Resident bytes per cached graph (rows + side arrays + index + CSR)
-//!   are reported in [`GroupCacheRecord::resident_bytes`] and printed by
-//!   `profile_engine`.  Budget-tripped builds never enter the lineage, and
+//!   Between valuations a surviving graph stays resident, rows and
+//!   intern index intact: encoding it away and back cost about half of
+//!   every Table II pass.  Releasing the spare capacity its arenas grew
+//!   into, once per build, extension or prune, keeps the measured peak
+//!   RSS where the encoding had it.  Resident bytes per cached graph
+//!   (rows + side arrays + index + CSR) are reported in
+//!   [`GroupCacheRecord::resident_bytes`] and printed by `profile_engine`.  Budget-tripped builds never enter the lineage, and
 //!   a budget-tripped extension falls back to a from-scratch rebuild, so
 //!   bounded-build semantics match the fresh path exactly.
 //! * **Knob precedence.**  [`CheckerOptions::incremental_sweep`]
@@ -162,7 +169,7 @@
 //! # Verdict memoization & lineage compaction
 //!
 //! The lineage above makes a sweep's steady state — long runs of identical
-//! or guard-adjacent valuations — cheap; three levers make it nearly free:
+//! or guard-adjacent valuations — cheap; two levers make it nearly free:
 //!
 //! * **Verdict memoization.**  Each cached reachability graph carries a
 //!   small memo of `(Spec, CheckOutcome)` pairs keyed by full [`Spec`]
@@ -190,25 +197,12 @@
 //!   seeding future analysis passes from prior violation bitsets would
 //!   change the reported product counts, breaking the lever-on/off
 //!   differential contract, so passes always re-walk the pruned graph.
-//! * **Delta-parked row arenas.**  When a sweep finishes a valuation, each
-//!   surviving graph's [`StateStore`] is *parked*: row arenas are
-//!   XOR-delta-encoded against their predecessor row (varint zero-run /
-//!   literal-run pairs — BFS-adjacent rows differ in a handful of bytes)
-//!   and the open-addressing indexes are dropped, shrinking the resident
-//!   footprint between valuations; the CSR arenas are compacted if a prior
-//!   prune left garbage.  The next lineage step that actually *uses* the
-//!   graph unparks it — decoding is exact, and re-interning reproduces the
-//!   original state ids, so parked ≡ never-parked bit-for-bit.  The
-//!   before/after bytes are reported in
-//!   [`GraphCacheStats::parked_full_bytes`] / `parked_compact_bytes` and
-//!   summarised by [`GraphCacheStats::parked_compression`].
 //! * **Knob precedence.**  [`CheckerOptions::verdict_memo`] over
 //!   `CC_VERDICT_MEMO` (`0` disables) over the default (enabled), and
 //!   [`CheckerOptions::tighten_prune`] over `CC_TIGHTEN_PRUNE` (`0`
 //!   disables) over the default (enabled); `VerifierConfig` and the
 //!   `table2` binary (`--no-verdict-memo` / `--no-tighten-prune`) expose
-//!   the same toggles.  Parking has no knob — it is pure compression with
-//!   exact reconstruction.  Neither lever ever changes a verdict, a count
+//!   the same toggles.  Neither lever ever changes a verdict, a count
 //!   or a counterexample (pinned across the random corpus at 1/2/4 workers
 //!   by `random_differential`); the `sweep_amortization` bench isolates
 //!   each lever's wall-clock gain.

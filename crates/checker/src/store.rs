@@ -62,17 +62,6 @@ impl RawTable {
         }
     }
 
-    /// A slotless placeholder for a parked shard (see [`Shard::park`]):
-    /// holds no memory and must never be probed — [`Shard::unpark`] swaps a
-    /// rebuilt table back in before the shard serves lookups again.
-    fn parked() -> Self {
-        RawTable {
-            slots: Vec::new(),
-            mask: 0,
-            len: 0,
-        }
-    }
-
     /// Finds the id stored for `hash` (with `eq` confirming full-key
     /// equality), or the slot index where it would be inserted.
     fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
@@ -153,10 +142,6 @@ pub(crate) struct Shard {
     hashes: Vec<u64>,
     /// First-discovery parent edge per node.
     parents: Vec<Option<(u32, ScheduledStep)>>,
-    /// The delta-encoded row arena of a *parked* shard (see
-    /// [`Shard::park`]); `rows` and the index table are empty while this is
-    /// `Some`.
-    parked_rows: Option<Vec<u8>>,
     /// Bytes per row (mirrors the owning store).
     stride: usize,
     /// This shard's index, stored in the low bits of every node id.
@@ -173,7 +158,6 @@ impl Shard {
             bits: Vec::new(),
             hashes: Vec::new(),
             parents: Vec::new(),
-            parked_rows: None,
             stride,
             tag,
             shard_bits,
@@ -225,130 +209,6 @@ impl Shard {
                 }
                 ((local << self.shard_bits) | self.tag, true)
             }
-        }
-    }
-
-    /// Parks the shard: the row arena is replaced by an XOR-RLE delta
-    /// encoding against the previous row in local order (BFS neighbours
-    /// differ in a handful of counter bytes, so the deltas are mostly
-    /// zeros), and the index table is dropped.  The side arrays (bits,
-    /// hashes, parents) stay raw — they are small and the hashes are what
-    /// [`Shard::unpark`] rebuilds the index from.
-    fn park(&mut self) {
-        if self.parked_rows.is_some() || self.bits.is_empty() {
-            return;
-        }
-        let stride = self.stride;
-        let mut encoded = Vec::new();
-        let mut prev = vec![0u8; stride];
-        let mut delta = vec![0u8; stride];
-        for local in 0..self.bits.len() {
-            let row = &self.rows[local * stride..(local + 1) * stride];
-            for (d, (r, p)) in delta.iter_mut().zip(row.iter().zip(prev.iter())) {
-                *d = r ^ p;
-            }
-            encode_delta(&mut encoded, &delta);
-            prev.copy_from_slice(row);
-        }
-        encoded.shrink_to_fit();
-        self.parked_rows = Some(encoded);
-        self.rows = Vec::new();
-        self.table = RawTable::parked();
-    }
-
-    /// Restores a parked shard: decodes the row arena byte-identically and
-    /// rebuilds the index by re-inserting every local id in order.  The
-    /// table's slot layout need not match the never-parked original — probe
-    /// results (and hence node ids, counts and verdicts) depend only on the
-    /// stored content, never on slot positions.
-    fn unpark(&mut self) {
-        let Some(encoded) = self.parked_rows.take() else {
-            return;
-        };
-        let stride = self.stride;
-        let count = self.bits.len();
-        let mut rows = Vec::with_capacity(count * stride);
-        let mut prev = vec![0u8; stride];
-        let mut pos = 0usize;
-        for _ in 0..count {
-            decode_delta_into(&encoded, &mut pos, &mut prev);
-            rows.extend_from_slice(&prev);
-        }
-        debug_assert_eq!(pos, encoded.len(), "parked arena fully consumed");
-        self.rows = rows;
-        let mut table = RawTable::with_capacity(count);
-        for local in 0..count as u32 {
-            let key = StateStore::key_hash(self.hashes[local as usize], self.bits[local as usize]);
-            // every stored entry is distinct, so each one just needs a free
-            // slot (eq = false even on a hash collision: collided entries
-            // coexist in the table exactly as they did before parking)
-            match table.probe(key, |_| false) {
-                Err(slot) => table.insert_at(slot, key, local),
-                Ok(_) => unreachable!("probe with eq = false never matches"),
-            }
-        }
-        self.table = table;
-    }
-}
-
-/// LEB128 varint append.
-fn push_varint(buf: &mut Vec<u8>, mut v: usize) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// LEB128 varint read, advancing `pos`.
-fn read_varint(buf: &[u8], pos: &mut usize) -> usize {
-    let mut v = 0usize;
-    let mut shift = 0u32;
-    loop {
-        let byte = buf[*pos];
-        *pos += 1;
-        v |= ((byte & 0x7F) as usize) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-/// Appends one row delta as alternating `(zero-run, literal-run)` varint
-/// pairs followed by the literal bytes, covering the full stride.
-fn encode_delta(out: &mut Vec<u8>, delta: &[u8]) {
-    let mut pos = 0;
-    while pos < delta.len() {
-        let zeros_start = pos;
-        while pos < delta.len() && delta[pos] == 0 {
-            pos += 1;
-        }
-        push_varint(out, pos - zeros_start);
-        let lits_start = pos;
-        while pos < delta.len() && delta[pos] != 0 {
-            pos += 1;
-        }
-        push_varint(out, pos - lits_start);
-        out.extend_from_slice(&delta[lits_start..pos]);
-    }
-}
-
-/// Applies one encoded delta onto `row` (which holds the previous row),
-/// advancing `pos` past the consumed pairs.
-fn decode_delta_into(encoded: &[u8], pos: &mut usize, row: &mut [u8]) {
-    let mut covered = 0usize;
-    while covered < row.len() {
-        covered += read_varint(encoded, pos);
-        let lits = read_varint(encoded, pos);
-        for _ in 0..lits {
-            row[covered] ^= encoded[*pos];
-            *pos += 1;
-            covered += 1;
         }
     }
 }
@@ -631,7 +491,6 @@ impl StateStore {
             .iter()
             .map(|s| {
                 s.rows.len()
-                    + s.parked_rows.as_ref().map_or(0, Vec::len)
                     + s.bits.len()
                     + s.hashes.len() * std::mem::size_of::<u64>()
                     + s.parents.len() * std::mem::size_of::<Option<(u32, ScheduledStep)>>()
@@ -640,26 +499,14 @@ impl StateStore {
             .sum()
     }
 
-    /// Parks every shard: delta-encodes the row arenas and drops the index
-    /// tables (see [`Shard::park`]).  A parked store answers nothing —
-    /// [`StateStore::unpark`] must run first — but its resident footprint
-    /// shrinks to the encoded rows plus the raw side arrays.
-    pub(crate) fn park(&mut self) {
-        for shard in &mut self.shards {
-            shard.park();
+    /// Releases the spare capacity the arenas grew into while interning.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for s in &mut self.shards {
+            s.rows.shrink_to_fit();
+            s.bits.shrink_to_fit();
+            s.hashes.shrink_to_fit();
+            s.parents.shrink_to_fit();
         }
-    }
-
-    /// Restores every parked shard to full service, byte-identically.
-    pub(crate) fn unpark(&mut self) {
-        for shard in &mut self.shards {
-            shard.unpark();
-        }
-    }
-
-    /// Whether any shard is currently parked.
-    pub(crate) fn is_parked(&self) -> bool {
-        self.shards.iter().any(|s| s.parked_rows.is_some())
     }
 
     /// Occupancy statistics (see [`StoreStats`]).
@@ -834,52 +681,6 @@ mod tests {
         assert_eq!(empty.nonempty_shards, 0);
         assert_eq!(empty.mean_occupied_len(), 0.0);
         assert_eq!(empty.min_shard_len, 0);
-    }
-
-    #[test]
-    fn park_roundtrip_is_byte_identical_and_shrinks() {
-        let sys = sys();
-        let engine = RowEngine::new(&sys);
-        let mut store = StateStore::with_shards(&sys, 4);
-        let mut cfg = sys.empty_configuration();
-        let loc = sys.model().location_id("I0").unwrap();
-        let var = sys.model().var_id("v0").unwrap();
-        let mut ids = Vec::new();
-        for c in 0..30u64 {
-            for v in 0..30u64 {
-                cfg.set_counter(loc, 0, c);
-                cfg.set_var(var, 0, v);
-                ids.push(store.intern_config(&engine, &cfg, 0, None).0);
-            }
-        }
-        let full = store.resident_bytes();
-        let rows_before: Vec<Vec<u8>> = ids.iter().map(|&id| store.row(id).to_vec()).collect();
-        store.park();
-        assert!(store.is_parked());
-        let parked = store.resident_bytes();
-        assert!(
-            parked < full,
-            "parking must shrink the store ({parked} !< {full})"
-        );
-        // parking twice is a no-op
-        store.park();
-        store.unpark();
-        assert!(!store.is_parked());
-        for (id, row) in ids.iter().zip(&rows_before) {
-            assert_eq!(store.row(*id), &row[..], "rows decode byte-identically");
-        }
-        // the rebuilt index still dedups every pre-park state to its old id
-        for (i, id) in ids.iter().enumerate() {
-            let (c, v) = ((i / 30) as u64, (i % 30) as u64);
-            cfg.set_counter(loc, 0, c);
-            cfg.set_var(var, 0, v);
-            let (again, fresh) = store.intern_config(&engine, &cfg, 0, None);
-            assert!(!fresh);
-            assert_eq!(again, *id);
-        }
-        // unparking an unparked store is a no-op too
-        store.unpark();
-        assert_eq!(store.len(), ids.len());
     }
 
     #[test]

@@ -731,14 +731,7 @@ fn run_cached_batches(
                 }
                 slots[s * width + v] = Some(cell);
             }
-            let mut stats = checker.cache_stats();
-            // the checker's group memo pins the lineage graphs via Rc;
-            // parking requires sole ownership, so drop it first
-            drop(checker);
-            let (full, compact) = lineage.park_all();
-            stats.parked_full_bytes += full;
-            stats.parked_compact_bytes += compact;
-            stats_slots[v] = Some(stats);
+            stats_slots[v] = Some(checker.cache_stats());
         }
     } else {
         let cell_workers = resolved_workers(&cell_options);
@@ -788,14 +781,7 @@ fn run_cached_batches(
                             }
                             **slot_refs[s * width + v].lock().unwrap() = Some(cell);
                         }
-                        let mut stats = checker.cache_stats();
-                        // see the sequential path: the checker must release
-                        // its Rc pins before the lineage can park
-                        drop(checker);
-                        let (full, compact) = lineage.park_all();
-                        stats.parked_full_bytes += full;
-                        stats.parked_compact_bytes += compact;
-                        **stats_refs[v].lock().unwrap() = Some(stats);
+                        **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
                     }
                 });
             }
@@ -807,6 +793,7 @@ fn run_cached_batches(
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::result::GraphOrigin;
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
 
@@ -1180,7 +1167,8 @@ mod tests {
         // [4,1,1,1] -> [7,1,1,1] changes the system size (rebuild),
         // -> [7,1,1,1] repeats the bounds (pure reuse),
         // -> [7,2,1,1] lowers the n-t-f quorum (relax-only extension),
-        // -> [7,1,1,1] raises it back (tighten, in-place prune)
+        // -> [7,1,1,1] raises it back (tighten, in-place prune),
+        // -> [7,2,1,1] relaxes again, reaching rows the prune cut off
         let model = fixtures::voting_model().single_round().unwrap();
         let valuations = [
             ParamValuation::new(vec![4, 1, 1, 1]),
@@ -1188,6 +1176,7 @@ mod tests {
             ParamValuation::new(vec![7, 1, 1, 1]),
             ParamValuation::new(vec![7, 2, 1, 1]),
             ParamValuation::new(vec![7, 1, 1, 1]),
+            ParamValuation::new(vec![7, 2, 1, 1]),
         ];
         let specs = vec![
             Spec::NeverFrom {
@@ -1238,13 +1227,17 @@ mod tests {
                 assert!(inc_stats.memo_hits() > 0, "{inc_stats}");
                 assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");
                 assert!(inc_stats.resident_bytes() > 0, "{inc_stats}");
-                // the end-of-valuation parking pass must have compacted at
-                // least one resident graph
-                assert!(inc_stats.parked_full_bytes > 0, "{inc_stats}");
-                assert!(
-                    inc_stats.parked_compact_bytes < inc_stats.parked_full_bytes,
-                    "{inc_stats}"
-                );
+                // reuse is free: a reused graph is its predecessor, byte
+                // for byte, with nothing rebuilt between valuations
+                for (i, g) in inc_stats.groups.iter().enumerate() {
+                    if g.origin == GraphOrigin::Reused {
+                        let prev = inc_stats.groups[..i]
+                            .iter()
+                            .rfind(|p| p.start == g.start)
+                            .expect("a reused group has a predecessor");
+                        assert_eq!(g.resident_bytes, prev.resident_bytes, "{inc_stats}");
+                    }
+                }
                 assert!(format!("{inc_stats}").contains("lineage"));
             }
         }

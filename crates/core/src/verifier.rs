@@ -514,9 +514,11 @@ mod tests {
         // the default config checks two guard-adjacent valuations per
         // protocol, so the incremental sweep serves the second valuation's
         // groups straight from the lineage — with identical verdicts,
-        // counts and violated obligations
+        // counts and violated obligations.  One sweep thread walks both
+        // valuations in order: the test pins lineage, not the scheduler,
+        // so the host's core count must not split the grid
         let p = mmr14::mmr14();
-        let config = VerifierConfig::default();
+        let config = VerifierConfig::default().with_threads(1);
         let incremental = verify_protocol(
             &p,
             &config.with_graph_cache(true).with_incremental_sweep(true),
