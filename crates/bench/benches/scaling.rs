@@ -4,10 +4,11 @@
 //! workloads (MMR14, ABY22) at 1, 2, 4, … in-check workers, the MMR14
 //! catalogue across parallel wave sizes (the O(wave) candidate-buffer
 //! bound of the pooled explorer), and a multi-valuation sweep at matching
-//! total thread budgets.  Every run produces identical verdicts and state
-//! counts (the engine is deterministic at any worker count and wave size —
-//! see `ccchecker::explorer`), so the only thing that varies is wall-clock
-//! time.
+//! total thread budgets (a graph-cached sweep walks its valuations on one
+//! thread, so its budget only sets the in-check share).  Every run produces
+//! identical verdicts and state counts (the engine is deterministic at any
+//! worker count and wave size — see `ccchecker::explorer`), so the only
+//! thing that varies is wall-clock time.
 //!
 //! This bench is the quick-mode CI scaling job: run with
 //! `BENCH_JSON=BENCH_scaling.json cargo bench -p ccbench --bench scaling`
@@ -123,8 +124,10 @@ fn bench_wave_size_scaling(c: &mut Criterion) {
 }
 
 fn bench_sweep_budget_scaling(c: &mut Criterion) {
-    // a broader sweep so both levels (grid cells and in-check workers) of
-    // the thread budget have work to absorb
+    // a broader sweep under the default graph cache: the sweep walks its
+    // (at most 3) valuations as one lineage chain, so the budget varies
+    // only each check's in-check share, `budget / min(budget, width)` —
+    // one worker until the budget reaches twice the grid's width
     let protocol = protocol_by_name("ABY22").expect("benchmark protocol");
     let single = protocol.single_round();
     let obligations = obligations_for(&protocol, &single);

@@ -165,9 +165,9 @@ impl CheckerOptions {
 }
 
 /// The worker pool a checker runs on: its own (one pool per checker, reused
-/// across every check and every level), or one shared by the caller — the
-/// sweep hands each of its grid workers one pool reused across all the
-/// cells that worker processes.
+/// across every check and every level), or one shared by the caller — a
+/// cached sweep reuses one pool across its whole grid, the per-cell
+/// scheduler one per grid worker.
 #[derive(Debug)]
 enum PoolSource<'a> {
     Owned(WorkerPool),
@@ -350,8 +350,8 @@ impl<'a> ExplicitChecker<'a> {
 
     /// Creates a checker running its parallel phases on a caller-owned
     /// pool, whose lane count overrides [`CheckerOptions::workers`].  This
-    /// is how [`crate::check_over_sweep`] shares one pool across all the
-    /// grid cells a sweep worker processes.
+    /// is how [`crate::check_over_sweep`] shares one pool across the grid
+    /// cells it processes.
     ///
     /// # Panics
     ///
@@ -370,10 +370,10 @@ impl<'a> ExplicitChecker<'a> {
     /// the same group built at a previous valuation, reusing it outright
     /// when the compiled guard bounds are identical and extending it
     /// incrementally when the step is relax-only (see the "Incremental
-    /// sweeps" crate docs).  The sweep gives each of its grid workers one
-    /// lineage spanning the worker's contiguous, valuation-ordered block of
-    /// cells.  An explicit [`CheckerOptions::incremental_sweep`] of `false`
-    /// (or `CC_SWEEP_INCREMENTAL=0`) makes this identical to
+    /// sweeps" crate docs).  A cached sweep passes one lineage spanning its
+    /// whole valuation-ordered grid.  An explicit
+    /// [`CheckerOptions::incremental_sweep`] of `false` (or
+    /// `CC_SWEEP_INCREMENTAL=0`) makes this identical to
     /// [`ExplicitChecker::with_pool`].
     ///
     /// # Panics

@@ -184,12 +184,11 @@ pub(crate) enum LineageStep {
     Prune(Rc<ReachGraph>, usize),
 }
 
-/// The cross-valuation graph lineage of one sweep worker: at most one
-/// surviving [`ReachGraph`] per start-restriction group, carried from
-/// valuation to valuation (see the "Incremental sweeps" section of the
-/// crate docs).  Owned by whoever walks a group's valuations in order — the
-/// sweep gives each grid worker one lineage for its contiguous block of
-/// valuations — and handed to each per-valuation
+/// The cross-valuation graph lineage of one sweep: at most one surviving
+/// [`ReachGraph`] per start-restriction group, carried from valuation to
+/// valuation (see the "Incremental sweeps" section of the crate docs).
+/// Owned by whoever walks a group's valuations in order — a cached sweep
+/// keeps one lineage for its whole grid — and handed to each per-valuation
 /// [`crate::ExplicitChecker`] via
 /// [`crate::ExplicitChecker::with_pool_and_lineage`].  Survivors stay
 /// resident, rows and intern index intact, between valuations: an
@@ -791,7 +790,7 @@ impl ReachGraph {
 
     /// Releases the spare capacity of a finished graph's arenas: a lineage
     /// survivor stays resident for as long as its valuations last, next to
-    /// the graphs other sweep workers are building.
+    /// the graphs of its sweep's other start-restriction groups.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.store.shrink_to_fit();
         self.graph.shrink_to_fit();

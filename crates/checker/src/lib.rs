@@ -52,12 +52,13 @@
 //!   hooks.  Verdicts, state counts, transition counts and counterexample
 //!   schedules are bit-identical at every worker count, shard count and
 //!   wave size.
-//! * **Two-level parallel sweep** ([`sweep::check_over_sweep`]) — the
-//!   `query × valuation` grid fans out over a scoped worker pool, and the
-//!   thread budget left over after covering the grid is handed to the
-//!   in-check workers of each cell.  Reports are deterministic; cells
-//!   cancelled after an earlier violation appear as explicit skipped
-//!   outcomes.
+//! * **Budgeted sweep** ([`sweep::check_over_sweep`]) — the graph-cached
+//!   scheduler walks the `query × valuation` grid in valuation order
+//!   through one graph lineage, and the thread budget left over after
+//!   covering the grid's valuations is handed to the in-check workers of
+//!   each cell; with the cache off, cells fan out over a scoped worker
+//!   pool instead.  Reports are deterministic; cells cancelled after an
+//!   earlier violation appear as explicit skipped outcomes.
 //!
 //! # Graph cache: explore once, evaluate many
 //!
@@ -144,12 +145,12 @@
 //!   counts and counterexample schedules are **bit-identical** to a fresh
 //!   sweep (pinned by `random_differential`'s incremental axis and the
 //!   extended-graph half of `counterexample_replay`).
-//! * **Lineage lifetime & memory.**  Each sweep worker owns one lineage
-//!   spanning the contiguous, valuation-ordered block of grid cells it
-//!   processes (the cached scheduler dispatches blocks, not strided cells,
-//!   precisely so adjacent cells are guard-adjacent); at most one graph
-//!   per start-restriction group survives at a time, dropped when
-//!   classification discards it or the worker finishes its block.
+//! * **Lineage lifetime & memory.**  A cached sweep owns one lineage and
+//!   walks the whole grid through it in valuation order, on one thread at
+//!   every budget, so each start-restriction group's chain of
+//!   guard-adjacent valuations is never cut; at most one graph per
+//!   start-restriction group survives at a time, dropped when
+//!   classification discards it or the sweep ends.
 //!   Between valuations a surviving graph stays resident, rows and
 //!   intern index intact: encoding it away and back cost about half of
 //!   every Table II pass.  Releasing the spare capacity its arenas grew
@@ -226,8 +227,9 @@
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
 //!   level, not per check call) and joined when the checker is dropped.  A
-//!   sweep creates one pool per grid worker and shares it across every
-//!   cell that worker processes ([`ExplicitChecker::with_pool`]).  A
+//!   cached sweep creates one pool for the whole grid, the per-cell
+//!   scheduler one per grid worker, each shared across every cell it
+//!   serves ([`ExplicitChecker::with_pool`]).  A
 //!   resolved worker count of 1 spawns no threads at all — the sequential
 //!   loop pays no synchronisation.
 //!

@@ -4,9 +4,10 @@
 //! every wide BFS level — cheap for a handful of deep levels, but a real tax
 //! on searches with hundreds of wide levels and on sweeps running thousands
 //! of sub-millisecond checks.  [`WorkerPool`] amortises that cost: the
-//! threads are spawned once (per check, or once per sweep worker and shared
-//! across all the grid cells it processes) and every parallel phase is a
-//! *batch* of closures pushed onto the pool's queue.
+//! threads are spawned once (per check, or once per sweep — per grid worker
+//! with the graph cache off — and shared across the grid cells it
+//! processes) and every parallel phase is a *batch* of closures pushed onto
+//! the pool's queue.
 //!
 //! # Design
 //!

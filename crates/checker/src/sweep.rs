@@ -5,20 +5,24 @@
 //! valuations (the sweep); a query "holds" if it holds on every member of the
 //! sweep and is "violated" as soon as one member yields a counterexample.
 //!
-//! # Two-level parallelism
+//! # Thread budget
 //!
-//! The `query × valuation` grid is embarrassingly parallel, and each cell's
-//! exploration can itself run on multiple workers (see [`crate::explorer`]).
-//! [`check_over_sweep`] therefore splits one *thread budget* across both
-//! levels: enough outer workers to cover the grid, and the remaining factor
-//! handed to each cell as in-check workers.  A 16-thread budget over a
-//! 4-cell grid runs 4 cells concurrently with 4 workers each; a single huge
-//! cell gets all 16 workers.  The budget comes from
-//! [`check_over_sweep_with_threads`]'s argument, or (for
-//! [`check_over_sweep`]) from the `CC_SWEEP_THREADS` environment variable,
-//! falling back to the available parallelism; an explicit
-//! [`CheckerOptions::workers`] setting always wins over the derived
-//! per-cell worker count.
+//! A sweep runs under one *thread budget*: [`check_over_sweep_with_threads`]'s
+//! argument, or (for [`check_over_sweep`]) the `CC_SWEEP_THREADS`
+//! environment variable, falling back to the available parallelism.  How
+//! the budget is spent depends on the scheduler:
+//!
+//! * The graph-cached scheduler (the default, below) walks the valuations
+//!   on the calling thread and hands each check `budget / min(budget,
+//!   width)` in-check workers (see [`crate::explorer`]), so a
+//!   single-valuation grid gives the explorer its whole budget.
+//! * The per-cell scheduler (graph cache off) runs `min(budget, cells)`
+//!   grid cells concurrently with the remaining factor as in-check
+//!   workers: a 16-thread budget over a 4-cell grid runs 4 cells with 4
+//!   workers each.
+//!
+//! An explicit [`CheckerOptions::workers`] setting always wins over the
+//! derived in-check worker count.
 //!
 //! Reports keep the deterministic sequential semantics regardless of any of
 //! these knobs: outcomes are assembled in valuation order, and every grid
@@ -34,10 +38,17 @@
 //! *valuation* rather than a single `(query, valuation)` cell: one
 //! [`ExplicitChecker`] per valuation runs the full spec slice through
 //! cached checks, so every query sharing a start restriction reuses one
-//! exploration of that valuation's reachable graph.  Per-cell outcomes,
-//! durations, skipped records and the deterministic assembly are unchanged;
-//! [`check_over_sweep_with_stats`] additionally returns the aggregated
-//! cache accounting in valuation order.
+//! exploration of that valuation's reachable graph.  Every valuation
+//! shares one [`GraphLineage`], so each start-restriction group's lineage
+//! chain runs unbroken from the first valuation to the last, and the cache
+//! accounting [`check_over_sweep_with_stats`] returns (merged in valuation
+//! order) is the same at every budget.  A cached sweep is one chain
+//! because cutting it into per-thread blocks bought nothing: at a 2-thread
+//! budget on a 2-vCPU host the split paid about 985 instead of 698
+//! explorations per pass of the benchmark's generated-family grid (72
+//! instead of 48 on the Table II grid), and ran that grid at 2,720 instead
+//! of 3,260 cells/s with 112 instead of 43 MB peak RSS (medians of 10
+//! runs each).
 //!
 //! # Job lifecycle
 //!
@@ -500,24 +511,22 @@ fn sweep_impl(
     let total = specs.len() * width;
     let budget = threads.max(1);
     let use_cache = resolved_graph_cache(&options);
-    // with the graph cache the scheduled unit is a whole valuation (its
-    // spec slice shares cached graphs), otherwise a single grid cell
+    // the work items are whole valuations with the graph cache (their
+    // spec slices share cached graphs), single grid cells otherwise; each
+    // check gets the budget left over after covering the items, unless
+    // the caller pinned an in-check worker count explicitly.  The cached
+    // scheduler walks its items on one thread (see the module docs)
     let items = if use_cache { width } else { total };
     let outer = budget.min(items.max(1));
-    // the budget left over after covering the work items goes into each
-    // cell, unless the caller pinned an in-check worker count explicitly
     let cell_options = if options.workers == 0 {
         options.with_workers((budget / outer.max(1)).max(1))
     } else {
         options
     };
 
-    // one slot per (spec, valuation) cell, filled by the workers, plus one
-    // cache-accounting slot per valuation
+    // one slot per (spec, valuation) cell, filled by the workers
     let mut slots: Vec<Option<SweepOutcome>> = Vec::new();
     slots.resize_with(total, || None);
-    let mut stats_slots: Vec<Option<GraphCacheStats>> = Vec::new();
-    stats_slots.resize_with(width, || None);
 
     // resume: completed cells of the prior run are carried over verbatim;
     // interrupted, failed and skipped cells stay empty and are recomputed
@@ -555,16 +564,16 @@ fn sweep_impl(
         })
         .collect();
 
+    // cache accounting in valuation order; empty with the cache off
+    let mut stats = GraphCacheStats::default();
     if use_cache {
-        run_cached_batches(
+        stats = run_cached_batches(
             specs,
             &systems,
             cell_options,
-            outer,
             job,
             &violated_seed,
             &mut slots,
-            &mut stats_slots,
         );
     } else if outer <= 1 || total <= 1 {
         // sequential fast path: one pool for the whole grid, skip a query's
@@ -629,13 +638,6 @@ fn sweep_impl(
         });
     }
 
-    // cache accounting, merged in valuation order regardless of which
-    // worker processed which valuation
-    let mut stats = GraphCacheStats::default();
-    for s in stats_slots.into_iter().flatten() {
-        stats.merge(&s);
-    }
-
     // deterministic assembly: valuation order; every cell past the query's
     // first violation becomes an explicit skipped record, even if a parallel
     // worker happened to compute it before the cancellation landed, and
@@ -684,116 +686,60 @@ fn sweep_impl(
 /// spec slice runs on one [`ExplicitChecker`] so the obligations of a start
 /// restriction share one cached reachability graph.  Specs already violated
 /// at an earlier valuation are left unchecked (the assembly marks them
-/// skipped), exactly like the per-cell scheduler.
+/// skipped), exactly like the per-cell scheduler.  Returns the cache
+/// accounting, merged in valuation order.
 ///
-/// Valuations are dispatched in *valuation order*: a parallel budget splits
-/// the grid into contiguous valuation blocks (one sweep worker, one
-/// in-check pool and one [`GraphLineage`] per block) instead of striding a
-/// shared queue, so the cells of every start-restriction group that one
-/// worker processes are guard-adjacent — the precondition for the
-/// incremental sweep's reuse/extend classification — and the set of cells a
-/// cancellation can race with is a stable function of the budget, not of
-/// thread timing.
-#[allow(clippy::too_many_arguments)]
+/// The valuations are walked in order on the calling thread, with one
+/// in-check pool and one [`GraphLineage`] for the whole grid, so every
+/// start-restriction group's lineage chain runs unbroken from the first
+/// valuation to the last — the precondition for the incremental sweep's
+/// reuse/extend classification — and the graph counters, like the
+/// verdicts, are a function of the grid alone, never of the budget.  The
+/// budget reaches the checks as in-check workers (see `sweep_impl`).
 fn run_cached_batches(
     specs: &[Spec],
     systems: &[CounterSystem],
     cell_options: CheckerOptions,
-    outer: usize,
     job: Option<&JobSignals>,
     violated_seed: &[usize],
     slots: &mut [Option<SweepOutcome>],
-    stats_slots: &mut [Option<GraphCacheStats>],
-) {
+) -> GraphCacheStats {
     let width = systems.len();
-    if outer <= 1 || width <= 1 {
-        let pool = WorkerPool::new(resolved_workers(&cell_options));
-        let lineage = GraphLineage::new();
-        let mut violated_at = violated_seed.to_vec();
-        'grid: for (v, sys) in systems.iter().enumerate() {
+    let mut stats = GraphCacheStats::default();
+    let pool = WorkerPool::new(resolved_workers(&cell_options));
+    let lineage = GraphLineage::new();
+    let mut violated_at = violated_seed.to_vec();
+    'grid: for (v, sys) in systems.iter().enumerate() {
+        if job.is_some_and(|j| j.fast_stop().is_some()) {
+            break 'grid;
+        }
+        let mut checker =
+            ExplicitChecker::with_pool_and_lineage(sys, cell_options, &pool, &lineage);
+        checker.set_signals(job);
+        for (s, spec) in specs.iter().enumerate() {
+            if violated_at[s] < v || slots[s * width + v].is_some() {
+                continue; // an earlier valuation violated, or resumed
+            }
             if job.is_some_and(|j| j.fast_stop().is_some()) {
+                stats.merge(&checker.cache_stats());
                 break 'grid;
             }
-            let mut checker =
-                ExplicitChecker::with_pool_and_lineage(sys, cell_options, &pool, &lineage);
-            checker.set_signals(job);
-            for (s, spec) in specs.iter().enumerate() {
-                if violated_at[s] < v || slots[s * width + v].is_some() {
-                    continue; // an earlier valuation violated, or resumed
-                }
-                if job.is_some_and(|j| j.fast_stop().is_some()) {
-                    stats_slots[v] = Some(checker.cache_stats());
-                    break 'grid;
-                }
-                let cell = run_cached_cell(&checker, &pool, sys, spec, cell_options, job);
-                if cell.outcome.status == CheckStatus::Violated {
-                    violated_at[s] = violated_at[s].min(v);
-                }
-                slots[s * width + v] = Some(cell);
+            let cell = run_cached_cell(&checker, &pool, sys, spec, cell_options, job);
+            if cell.outcome.status == CheckStatus::Violated {
+                violated_at[s] = violated_at[s].min(v);
             }
-            stats_slots[v] = Some(checker.cache_stats());
+            slots[s * width + v] = Some(cell);
         }
-    } else {
-        let cell_workers = resolved_workers(&cell_options);
-        let violated_at: Vec<AtomicUsize> =
-            violated_seed.iter().map(|&v| AtomicUsize::new(v)).collect();
-        let block = width.div_ceil(outer);
-        let slot_refs: Vec<Mutex<&mut Option<SweepOutcome>>> =
-            slots.iter_mut().map(Mutex::new).collect();
-        let stats_refs: Vec<Mutex<&mut Option<GraphCacheStats>>> =
-            stats_slots.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for worker in 0..outer {
-                let range = worker * block..((worker + 1) * block).min(width);
-                if range.is_empty() {
-                    break;
-                }
-                let (violated_at, slot_refs, stats_refs) = (&violated_at, &slot_refs, &stats_refs);
-                scope.spawn(move || {
-                    let pool = WorkerPool::new(cell_workers);
-                    let lineage = GraphLineage::new();
-                    'block: for v in range {
-                        if job.is_some_and(|j| j.fast_stop().is_some()) {
-                            break 'block;
-                        }
-                        let sys = &systems[v];
-                        let mut checker = ExplicitChecker::with_pool_and_lineage(
-                            sys,
-                            cell_options,
-                            &pool,
-                            &lineage,
-                        );
-                        checker.set_signals(job);
-                        for (s, spec) in specs.iter().enumerate() {
-                            if violated_at[s].load(Ordering::Acquire) < v
-                                || slot_refs[s * width + v].lock().unwrap().is_some()
-                            {
-                                continue; // violated earlier, or resumed
-                            }
-                            if job.is_some_and(|j| j.fast_stop().is_some()) {
-                                **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
-                                break 'block;
-                            }
-                            let cell =
-                                run_cached_cell(&checker, &pool, sys, spec, cell_options, job);
-                            if cell.outcome.status == CheckStatus::Violated {
-                                violated_at[s].fetch_min(v, Ordering::AcqRel);
-                            }
-                            **slot_refs[s * width + v].lock().unwrap() = Some(cell);
-                        }
-                        **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
-                    }
-                });
-            }
-        });
+        stats.merge(&checker.cache_stats());
     }
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::result::GraphOrigin;
+    use crate::result::{GraphOrigin, GroupCacheRecord};
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
 
@@ -1107,10 +1053,10 @@ mod tests {
             );
             assert!(stats.graphs_built() > 0);
             // 3 specs x 2 admissible valuations, minus the cell skipped
-            // after the first violation — which a parallel worker may have
-            // computed anyway before the cancellation landed
+            // after the first violation: the cached scheduler walks the
+            // grid in order, so it never computes a skipped cell
             let checked = stats.specs_served() + stats.uncached_specs;
-            assert!((5..=6).contains(&checked), "{checked}");
+            assert_eq!(checked, 5);
             assert_eq!(no_stats.graphs_built(), 0);
             for (c, u) in cached.iter().zip(&uncached) {
                 assert_eq!(c.spec_name, u.spec_name);
@@ -1195,6 +1141,10 @@ mod tests {
                 start: StartRestriction::RoundStart,
             },
         ];
+        // the group records of the budget-1 run: lineage is a function of
+        // the grid, so every budget must classify and size every group
+        // exactly alike
+        let mut first_groups: Option<Vec<GroupCacheRecord>> = None;
         for threads in [1, 3] {
             let (incremental, inc_stats) = check_over_sweep_with_stats(
                 &model,
@@ -1217,28 +1167,37 @@ mod tests {
             assert_reports_identical(&incremental, &fresh, &format!("threads {threads}"));
             assert_eq!(fresh_stats.reused_groups(), 0);
             assert_eq!(fresh_stats.extended_groups(), 0);
-            if threads == 1 {
-                // one worker walks the whole grid in valuation order, so
-                // every classification fires at least once
-                assert!(inc_stats.reused_groups() > 0, "{inc_stats}");
-                assert!(inc_stats.extended_groups() > 0, "{inc_stats}");
-                assert!(inc_stats.rebuilt_groups() > 0, "{inc_stats}");
-                assert!(inc_stats.pruned_groups() > 0, "{inc_stats}");
-                assert!(inc_stats.memo_hits() > 0, "{inc_stats}");
-                assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");
-                assert!(inc_stats.resident_bytes() > 0, "{inc_stats}");
-                // reuse is free: a reused graph is its predecessor, byte
-                // for byte, with nothing rebuilt between valuations
-                for (i, g) in inc_stats.groups.iter().enumerate() {
-                    if g.origin == GraphOrigin::Reused {
-                        let prev = inc_stats.groups[..i]
-                            .iter()
-                            .rfind(|p| p.start == g.start)
-                            .expect("a reused group has a predecessor");
-                        assert_eq!(g.resident_bytes, prev.resident_bytes, "{inc_stats}");
-                    }
+            // one lineage walks the whole grid in valuation order at every
+            // budget, so every classification fires at least once
+            assert!(inc_stats.reused_groups() > 0, "{inc_stats}");
+            assert!(inc_stats.extended_groups() > 0, "{inc_stats}");
+            assert!(inc_stats.rebuilt_groups() > 0, "{inc_stats}");
+            assert!(inc_stats.pruned_groups() > 0, "{inc_stats}");
+            assert!(inc_stats.memo_hits() > 0, "{inc_stats}");
+            assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");
+            assert!(inc_stats.resident_bytes() > 0, "{inc_stats}");
+            // reuse is free: a reused graph is its predecessor, byte for
+            // byte, with nothing rebuilt between valuations
+            for (i, g) in inc_stats.groups.iter().enumerate() {
+                if g.origin == GraphOrigin::Reused {
+                    let prev = inc_stats.groups[..i]
+                        .iter()
+                        .rfind(|p| p.start == g.start)
+                        .expect("a reused group has a predecessor");
+                    assert_eq!(g.resident_bytes, prev.resident_bytes, "{inc_stats}");
                 }
-                assert!(format!("{inc_stats}").contains("lineage"));
+            }
+            assert!(format!("{inc_stats}").contains("lineage"));
+            let first = first_groups.get_or_insert_with(|| inc_stats.groups.clone());
+            assert_eq!(first.len(), inc_stats.groups.len(), "{inc_stats}");
+            for (a, b) in first.iter().zip(&inc_stats.groups) {
+                let ctx = format!("{} at budget {threads}", b.start);
+                assert_eq!(a.start, b.start, "{ctx}");
+                assert_eq!(a.origin, b.origin, "{ctx}");
+                assert_eq!(a.states, b.states, "{ctx}");
+                assert_eq!(a.transitions, b.transitions, "{ctx}");
+                assert_eq!(a.seed_frontier, b.seed_frontier, "{ctx}");
+                assert_eq!(a.pruned_actions, b.pruned_actions, "{ctx}");
             }
         }
     }

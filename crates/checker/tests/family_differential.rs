@@ -312,6 +312,90 @@ fn generated_families_incremental_sweep_matches_fresh() {
     assert!(extended > 0, "no relax-only step was extended");
 }
 
+#[test]
+fn generated_family_sweeps_are_budget_independent() {
+    // the cached scheduler walks a sweep as one lineage chain whatever the
+    // thread budget, so reports *and* the per-group cache records (origin,
+    // sizes, seeds, prunes, memo traffic) are identical at every budget; a
+    // budget-dependent split would turn reused or extended groups into
+    // fresh builds
+    use ccchecker::{check_over_sweep_with_stats, GraphCacheStats, GroupCacheRecord, SweepReport};
+    // every cell's verdict, counts, detail and counterexample; wall-clock
+    // durations are the only field allowed to differ between runs
+    let cells = |reports: &[SweepReport]| {
+        reports
+            .iter()
+            .flat_map(|r| {
+                r.outcomes.iter().map(move |o| {
+                    (
+                        r.spec_name.clone(),
+                        o.params.clone(),
+                        o.disposition,
+                        o.outcome.clone(),
+                    )
+                })
+            })
+            .collect::<Vec<_>>()
+    };
+    // resident bytes count allocator capacity, which the in-check worker
+    // count a larger budget buys may change; everything else must not
+    let groups = |stats: &GraphCacheStats| {
+        stats
+            .groups
+            .iter()
+            .map(|g| GroupCacheRecord {
+                resident_bytes: 0,
+                ..g.clone()
+            })
+            .collect::<Vec<_>>()
+    };
+    let families: Vec<_> = corpus()
+        .into_iter()
+        .filter(|(_, fam)| {
+            let env = fam.single_round.env();
+            fam.sweep.len() >= 2
+                && fam
+                    .sweep
+                    .iter()
+                    .all(|v| env.system_size(v).is_some_and(|s| s.processes <= 4))
+        })
+        .step_by(9)
+        .take(6)
+        .collect();
+    assert!(
+        !families.is_empty(),
+        "no family carries a multi-valuation sweep"
+    );
+    let mut carried = 0usize;
+    for (ctx, fam) in families {
+        let specs = specs_of(&fam);
+        let sweep = |threads| {
+            check_over_sweep_with_stats(
+                &fam.single_round,
+                &specs,
+                &fam.sweep,
+                CheckerOptions::default()
+                    .with_graph_cache(true)
+                    .with_incremental_sweep(true),
+                threads,
+            )
+        };
+        let (base, base_stats) = sweep(1);
+        carried += base_stats.reused_groups() + base_stats.extended_groups();
+        for threads in [2, 8] {
+            let (reports, stats) = sweep(threads);
+            let where_ = format!("{ctx} (seed {:#x}) at budget {threads}", fam.seed);
+            assert_eq!(cells(&reports), cells(&base), "reports differ: {where_}");
+            assert_eq!(
+                groups(&stats),
+                groups(&base_stats),
+                "cache groups differ: {where_}"
+            );
+        }
+    }
+    assert!(carried > 0, "no sampled sweep carried a lineage graph");
+}
+
 /// Whether a simulator-visited configuration sequence witnesses a
 /// violation of a (non-probabilistic) obligation, mirroring the checker's
 /// cumulative semantics.

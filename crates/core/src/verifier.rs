@@ -109,7 +109,7 @@ impl VerifierConfig {
     /// This configuration with the incremental sweep explicitly enabled or
     /// disabled (overriding `CC_SWEEP_INCREMENTAL`; see the "Incremental
     /// sweeps" section of the `ccchecker` crate docs).  When enabled (the
-    /// default), each sweep worker carries the reachability graphs of its
+    /// default), the sweep carries the reachability graphs of its
     /// `(start restriction, valuation)` groups across guard-adjacent
     /// valuations — reusing them outright when the compiled guard bounds
     /// are identical and extending them incrementally when the step only
@@ -514,9 +514,8 @@ mod tests {
         // the default config checks two guard-adjacent valuations per
         // protocol, so the incremental sweep serves the second valuation's
         // groups straight from the lineage — with identical verdicts,
-        // counts and violated obligations.  One sweep thread walks both
-        // valuations in order: the test pins lineage, not the scheduler,
-        // so the host's core count must not split the grid
+        // counts and violated obligations.  The budget is pinned, not
+        // inherited from the host: one sweep thread first, then four
         let p = mmr14::mmr14();
         let config = VerifierConfig::default().with_threads(1);
         let incremental = verify_protocol(
@@ -557,6 +556,38 @@ mod tests {
         );
         assert_eq!(fresh.cache.reused_groups(), 0);
         assert_eq!(fresh.cache.extended_groups(), 0);
+        // a wider budget only feeds in-check workers: the lineage still
+        // walks both valuations as one chain, with the same verdicts and
+        // the same graph counts
+        let wide = verify_protocol(
+            &p,
+            &VerifierConfig::default()
+                .with_threads(4)
+                .with_graph_cache(true)
+                .with_incremental_sweep(true),
+        );
+        for (w, i) in [&wide.agreement, &wide.validity, &wide.termination]
+            .into_iter()
+            .zip([
+                &incremental.agreement,
+                &incremental.validity,
+                &incremental.termination,
+            ])
+        {
+            assert_eq!(w.status, i.status, "{}", w.property);
+            assert_eq!(w.states, i.states, "{}", w.property);
+        }
+        // group by group, the same origin: built, reused, extended,
+        // pruned or rebuilt
+        let origins =
+            |r: &ProtocolVerification| r.cache.groups.iter().map(|g| g.origin).collect::<Vec<_>>();
+        assert_eq!(
+            origins(&wide),
+            origins(&incremental),
+            "{} vs {}",
+            wide.cache,
+            incremental.cache
+        );
     }
 
     #[test]
