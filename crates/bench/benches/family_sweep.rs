@@ -15,7 +15,8 @@
 //! Run with `BENCH_JSON=BENCH_family.json cargo bench -p ccbench --bench
 //! family_sweep` to capture the per-family-point numbers in CI.
 
-use ccchecker::{check_over_sweep_with_stats, CheckerOptions, Spec};
+use ccchecker::{check_over_sweep_with_stats, CheckerOptions, ExplicitChecker, Spec};
+use cccounter::CounterSystem;
 use ccprotocols::family::{FamilyParams, FaultModel, GeneratedFamily};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -103,9 +104,7 @@ fn bench_family_sweep(c: &mut Criterion) {
                             &fam.single_round,
                             specs,
                             &fam.sweep,
-                            CheckerOptions::default()
-                                .with_graph_cache(true)
-                                .with_incremental_sweep(true),
+                            CheckerOptions::default(),
                             1,
                         )
                     })
@@ -116,15 +115,11 @@ fn bench_family_sweep(c: &mut Criterion) {
                 &(&fam, &specs),
                 |b, (fam, specs)| {
                     b.iter(|| {
-                        check_over_sweep_with_stats(
-                            &fam.single_round,
-                            specs,
-                            &fam.sweep,
-                            CheckerOptions::default()
-                                .with_graph_cache(true)
-                                .with_incremental_sweep(false),
-                            1,
-                        )
+                        for v in &fam.sweep {
+                            let sys = CounterSystem::new(fam.single_round.clone(), v.clone())
+                                .expect("generated sweep valuations are admissible");
+                            ExplicitChecker::new(&sys).check_all(specs);
+                        }
                     })
                 },
             );
@@ -141,9 +136,7 @@ fn bench_family_sweep(c: &mut Criterion) {
             &fam.single_round,
             &specs,
             &fam.sweep,
-            CheckerOptions::default()
-                .with_graph_cache(true)
-                .with_incremental_sweep(true),
+            CheckerOptions::default(),
             1,
         );
         c.metric(

@@ -6,25 +6,28 @@
 //!   catalogue (single-threaded; the summary prints the speedup ratio per
 //!   protocol),
 //! * `catalogue/cached/…` vs `catalogue/uncached/…` — the whole obligation
-//!   catalogue through one checker with the reachability-graph cache on vs
-//!   off (single-threaded; the summary prints the amortization factor per
+//!   catalogue through one checker's reachability-graph cache
+//!   (`check_all`) vs the per-spec path (`check` per obligation)
+//!   (single-threaded; the summary prints the amortization factor per
 //!   protocol, compared on `min_ns`),
 //! * `sweep_amortization/incremental/…` vs `sweep_amortization/fresh/…` —
-//!   the whole catalogue over each protocol's full 8-valuation grid with
-//!   the cross-valuation sweep lineage on vs off, plus the
-//!   `no-verdict-memo` / `no-tighten-prune` variants isolating each
-//!   steady-state lever (single-threaded; the summary prints the
-//!   whole-sweep speedup and per-lever gains per protocol on `min_ns`), and
-//! * `sweep/…` — `check_over_sweep` with 1 worker vs all cores on a
-//!   multi-valuation sweep (parallel scaling).
+//!   the whole catalogue over each protocol's full 8-valuation grid as one
+//!   sweep (cross-valuation lineage and verdict memo) vs a fresh
+//!   `check_all` per valuation (single-threaded; the summary prints the
+//!   whole-sweep speedup per protocol on `min_ns`), and
+//! * `sweep/…` — `check_over_sweep_with_stats` with 1 worker vs all cores
+//!   on a multi-valuation sweep (parallel scaling).
 //!
 //! Run with `BENCH_JSON=BENCH_table2.json cargo bench -p ccbench --bench
 //! table2_checking` to also emit the machine-readable summary.
 
 use ccchecker::reference::reference_check;
-use ccchecker::{check_over_sweep, check_over_sweep_with_threads, CheckerOptions, ExplicitChecker};
+use ccchecker::{
+    check_over_sweep_with_stats, sweep_thread_budget, CheckerOptions, ExplicitChecker,
+};
 use cccore::obligations_for;
 use cccore::prelude::*;
+use cccounter::CounterSystem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_property_checking(c: &mut Criterion) {
@@ -47,7 +50,13 @@ fn bench_property_checking(c: &mut Criterion) {
                 &(&single, specs, &valuations),
                 |b, (single, specs, valuations)| {
                     b.iter(|| {
-                        check_over_sweep(single, specs, valuations, CheckerOptions::default())
+                        check_over_sweep_with_stats(
+                            single,
+                            specs,
+                            valuations,
+                            CheckerOptions::default(),
+                            sweep_thread_budget(0),
+                        )
                     })
                 },
             );
@@ -170,9 +179,10 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 }
 
 /// The graph-cache amortization axis: whole-catalogue wall-clock per
-/// protocol with the reachability-graph cache on vs off (both
-/// single-threaded through one `ExplicitChecker::check_all` call, so the
-/// only difference is explore-once-evaluate-many vs explore-per-spec).
+/// protocol through the reachability-graph cache vs the per-spec path
+/// (both single-threaded on one `ExplicitChecker`: one `check_all` call vs
+/// one `check` per obligation, so the only difference is
+/// explore-once-evaluate-many vs explore-per-spec).
 /// The summary compares `min_ns` — the stable comparator for sub-ms runs
 /// on this container — and prints the measured amortization factor.
 fn bench_catalogue_cache(c: &mut Criterion) {
@@ -183,18 +193,19 @@ fn bench_catalogue_cache(c: &mut Criterion) {
         let protocol = protocol_by_name(name).expect("benchmark protocol");
         let workload = catalogue_workload(&protocol);
         for (label, cache) in [("cached", true), ("uncached", false)] {
-            let options = CheckerOptions::sequential().with_graph_cache(cache);
             group.bench_with_input(
                 BenchmarkId::new(label, name),
                 &workload,
                 |b, (sys, specs)| {
                     b.iter(|| {
-                        let checker = ExplicitChecker::with_options(sys, options);
-                        checker
-                            .check_all(specs)
-                            .iter()
-                            .map(|o| o.states_explored)
-                            .sum::<usize>()
+                        let checker =
+                            ExplicitChecker::with_options(sys, CheckerOptions::sequential());
+                        let outcomes = if cache {
+                            checker.check_all(specs)
+                        } else {
+                            specs.iter().map(|spec| checker.check(spec)).collect()
+                        };
+                        outcomes.iter().map(|o| o.states_explored).sum::<usize>()
                     })
                 },
             );
@@ -222,7 +233,7 @@ fn bench_catalogue_cache(c: &mut Criterion) {
     }
     if cached_total > 0.0 {
         println!(
-            "  {:<10} {:>6.2}x (total whole-catalogue wall-clock, cache on vs off)",
+            "  {:<10} {:>6.2}x (total whole-catalogue wall-clock, cached vs per-spec)",
             "overall",
             uncached_total / cached_total
         );
@@ -231,14 +242,12 @@ fn bench_catalogue_cache(c: &mut Criterion) {
 
 /// The incremental-sweep amortization axis: the whole obligation catalogue
 /// over each protocol's full `VerifierConfig` valuation grid (8 valuations
-/// at the default bounds), single-threaded, with the sweep lineage on vs
-/// off (the graph cache is on in both — this isolates the *cross-valuation*
-/// amortization on top of PR 4's within-valuation amortization).  Two
-/// extra lineage variants isolate the steady-state levers: `no-verdict-memo`
-/// re-evaluates every obligation on identical steps, `no-tighten-prune`
-/// degrades tighten-only steps back to full rebuilds.  The summary compares
-/// `min_ns` and prints the whole-sweep speedup plus each lever's isolated
-/// gain per protocol.
+/// at the default bounds), single-threaded, as one sweep vs a fresh
+/// `ExplicitChecker::check_all` per valuation (the graph cache serves both
+/// — this isolates the *cross-valuation* amortization of the lineage and
+/// the verdict memo on top of the within-valuation amortization).  The
+/// summary compares `min_ns` and prints the whole-sweep speedup per
+/// protocol.
 fn bench_sweep_amortization(c: &mut Criterion) {
     let names = ["Rabin83", "CC85(a)", "KS16", "MMR14", "ABY22"];
     // the full grid: every admissible valuation the default verifier bounds
@@ -261,35 +270,30 @@ fn bench_sweep_amortization(c: &mut Criterion) {
             .cloned()
             .collect();
         let valuations = grid_config.select_valuations(&single);
-        // the lever variants pin the toggles explicitly so the measurement
-        // is reproducible regardless of CC_VERDICT_MEMO/CC_TIGHTEN_PRUNE
-        let lineage = CheckerOptions::sequential()
-            .with_incremental_sweep(true)
-            .with_verdict_memo(true)
-            .with_tighten_prune(true);
-        for (label, options) in [
-            ("incremental", lineage),
-            ("no-verdict-memo", lineage.with_verdict_memo(false)),
-            ("no-tighten-prune", lineage.with_tighten_prune(false)),
-            (
-                "fresh",
-                CheckerOptions::sequential().with_incremental_sweep(false),
-            ),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, name),
-                &(&single, &all_specs, &valuations),
-                |b, (single, specs, valuations)| {
-                    b.iter(|| check_over_sweep_with_threads(single, specs, valuations, options, 1))
-                },
-            );
-        }
+        let options = CheckerOptions::sequential();
+        group.bench_with_input(
+            BenchmarkId::new("incremental", name),
+            &(&single, &all_specs, &valuations),
+            |b, (single, specs, valuations)| {
+                b.iter(|| check_over_sweep_with_stats(single, specs, valuations, options, 1))
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("fresh", name),
+            &(&single, &all_specs, &valuations),
+            |b, (single, specs, valuations)| {
+                b.iter(|| {
+                    for v in valuations.iter() {
+                        let sys = CounterSystem::new((*single).clone(), v.clone())
+                            .expect("selected valuations are admissible");
+                        ExplicitChecker::with_options(&sys, options).check_all(specs);
+                    }
+                })
+            },
+        );
     }
     group.finish();
-    println!(
-        "\nwhole-sweep incremental amortization (single-threaded, full grid, min_ns;\n\
-         'memo gain' and 'prune gain' are the slowdowns from disabling one lever):"
-    );
+    println!("\nwhole-sweep incremental amortization (single-threaded, full grid, min_ns):");
     let (mut inc_total, mut fresh_total) = (0.0, 0.0);
     for name in names {
         let min_of = |label: &str| {
@@ -298,20 +302,10 @@ fn bench_sweep_amortization(c: &mut Criterion) {
                 .find(|m| m.id == format!("sweep_amortization/{label}/{name}"))
                 .map(|m| m.min_ns)
         };
-        if let (Some(on), Some(off), Some(no_memo), Some(no_prune)) = (
-            min_of("incremental"),
-            min_of("fresh"),
-            min_of("no-verdict-memo"),
-            min_of("no-tighten-prune"),
-        ) {
+        if let (Some(on), Some(off)) = (min_of("incremental"), min_of("fresh")) {
             inc_total += on;
             fresh_total += off;
-            println!(
-                "  {name:<10} {:>6.2}x   memo gain {:>5.2}x   prune gain {:>5.2}x",
-                off / on,
-                no_memo / on,
-                no_prune / on,
-            );
+            println!("  {name:<10} {:>6.2}x", off / on);
         }
     }
     if inc_total > 0.0 {
@@ -345,7 +339,7 @@ fn bench_sweep_scaling(c: &mut Criterion) {
             &(&single, &all_specs, &valuations),
             |b, (single, specs, valuations)| {
                 b.iter(|| {
-                    check_over_sweep_with_threads(
+                    check_over_sweep_with_stats(
                         single,
                         specs,
                         valuations,

@@ -4,14 +4,13 @@
 //! the published tables.
 //!
 //! Usage:
-//! `profile_engine [PROTOCOL] [--threads N] [--wave-size W] [--no-graph-cache]
+//! `profile_engine [PROTOCOL] [--threads N] [--wave-size W]
 //! [--deadline-ms D] [--max-resident-bytes B]`
 //! — `N` sets the in-check worker count of the engine runs (default:
 //! `CC_CHECK_THREADS`, then all cores; the reference is always
-//! sequential), `W` the parallel wave size (default: `CC_WAVE_SIZE`, then
-//! the engine default), and `--no-graph-cache` drops the cached
-//! whole-catalogue run from the summary (the per-obligation rows always
-//! use the per-spec path).  `--deadline-ms D` and `--max-resident-bytes B`
+//! sequential) and `W` the parallel wave size (default: `CC_WAVE_SIZE`,
+//! then the engine default); the per-obligation rows use the per-spec
+//! path.  `--deadline-ms D` and `--max-resident-bytes B`
 //! set the budget of the job-lifecycle section, which runs the catalogue
 //! as a checkpointable `CheckJob` and reports each job's outcome —
 //! completed, budget-tripped (with the trip reason and checkpointed
@@ -27,14 +26,12 @@ fn main() {
     let mut name = String::from("MMR14");
     let mut workers = 0usize;
     let mut wave_size = 0usize;
-    let mut graph_cache = true;
     let mut budget = JobBudget::unlimited();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threads" => workers = ccbench::parse_positive_flag("--threads", &mut args),
             "--wave-size" => wave_size = ccbench::parse_positive_flag("--wave-size", &mut args),
-            "--no-graph-cache" => graph_cache = false,
             "--deadline-ms" => {
                 let d = ccbench::parse_positive_flag("--deadline-ms", &mut args);
                 budget = budget.with_deadline(Duration::from_millis(d as u64));
@@ -48,7 +45,7 @@ fn main() {
                 eprintln!(
                     "unknown argument: {other}\n\
                      usage: profile_engine [PROTOCOL] [--threads N] [--wave-size W] \
-                     [--no-graph-cache] [--deadline-ms D] [--max-resident-bytes B]"
+                     [--deadline-ms D] [--max-resident-bytes B]"
                 );
                 std::process::exit(2);
             }
@@ -132,47 +129,34 @@ fn main() {
         .cloned()
         .collect();
     println!("\nwhole-catalogue ({} obligations):", all_specs.len());
-    let uncached = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(false));
-            let _ = checker.check_all(&all_specs);
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    println!("  per-spec path: {uncached:>10.3?}");
-    if graph_cache {
-        let mut cache_stats = ccchecker::GraphCacheStats::default();
-        let cached = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(true));
-                let (_, s) = checker.check_all_with_stats(&all_specs);
-                cache_stats = s;
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
-        println!(
-            "  graph cache:   {cached:>10.3?} ({:.2}x)",
-            uncached.as_secs_f64() / cached.as_secs_f64()
-        );
-        println!("  {cache_stats}");
-        for g in &cache_stats.groups {
-            println!(
-                "    group {:<18} {} obligation(s) on {} states / {} transitions \
-                 (1 miss, {} hit(s), {} KiB resident)",
-                g.start,
-                g.specs,
-                g.states,
-                g.transitions,
-                g.specs - 1,
-                g.resident_bytes / 1024,
-            );
+    let uncached = best_of_3(|| {
+        let checker = ExplicitChecker::with_options(&sys, options);
+        for spec in &all_specs {
+            let _ = checker.check(spec);
         }
-    } else {
-        println!("  graph cache:   disabled (--no-graph-cache)");
+    });
+    println!("  per-spec path: {uncached:>10.3?}");
+    let mut cache_stats = ccchecker::GraphCacheStats::default();
+    let cached = best_of_3(|| {
+        let checker = ExplicitChecker::with_options(&sys, options);
+        cache_stats = checker.check_all_with_stats(&all_specs).1;
+    });
+    println!(
+        "  graph cache:   {cached:>10.3?} ({:.2}x)",
+        uncached.as_secs_f64() / cached.as_secs_f64()
+    );
+    println!("  {cache_stats}");
+    for g in &cache_stats.groups {
+        println!(
+            "    group {:<18} {} obligation(s) on {} states / {} transitions \
+             (1 miss, {} hit(s), {} KiB resident)",
+            g.start,
+            g.specs,
+            g.states,
+            g.transitions,
+            g.specs - 1,
+            g.resident_bytes / 1024,
+        );
     }
 
     // job lifecycle: the same catalogue as a checkpointable job under the
@@ -230,67 +214,76 @@ fn main() {
     }
 
     // full-grid incremental sweep: cross-valuation lineage amortization and
-    // the resident memory each surviving graph keeps alive per valuation
-    if graph_cache {
-        let grid_config = VerifierConfig {
-            max_valuations: 8,
-            ..VerifierConfig::default()
-        };
-        let grid_model = protocol.single_round();
-        let valuations = grid_config.select_valuations(&grid_model);
-        println!(
-            "\nfull-grid sweep ({} valuations), incremental vs fresh (best of 3):",
-            valuations.len()
-        );
-        let mut lineage_stats = ccchecker::GraphCacheStats::default();
-        let mut timed = |incremental: bool| {
-            (0..3)
-                .map(|_| {
-                    let t = Instant::now();
-                    let (_, s) = ccchecker::check_over_sweep_with_stats(
-                        &grid_model,
-                        &all_specs,
-                        &valuations,
-                        options.with_incremental_sweep(incremental),
-                        1,
-                    );
-                    if incremental {
-                        lineage_stats = s;
-                    }
-                    t.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let incremental = timed(true);
-        let fresh = timed(false);
-        println!("  fresh:         {fresh:>10.3?}");
-        println!(
-            "  incremental:   {incremental:>10.3?} ({:.2}x)",
-            fresh.as_secs_f64() / incremental.as_secs_f64()
-        );
-        println!("  {lineage_stats}");
-        println!(
-            "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
-             ({} action(s) cut) vs {} rebuilt",
-            lineage_stats.memo_hits(),
-            lineage_stats.memo_misses(),
-            lineage_stats.pruned_groups(),
-            lineage_stats.pruned_actions_total(),
-            lineage_stats.rebuilt_groups(),
-        );
-        for g in &lineage_stats.groups {
-            println!(
-                "    group {:<18} {:<8} {} obligation(s), {} states, {} seed(s), \
-                 {} memo hit(s), {} KiB resident",
-                g.start,
-                g.origin.to_string(),
-                g.specs,
-                g.states,
-                g.seed_frontier,
-                g.memo_hits,
-                g.resident_bytes / 1024,
-            );
+    // the resident memory each surviving graph keeps alive per valuation,
+    // against a fresh checker per valuation
+    let grid_config = VerifierConfig {
+        max_valuations: 8,
+        ..VerifierConfig::default()
+    };
+    let grid_model = protocol.single_round();
+    let valuations = grid_config.select_valuations(&grid_model);
+    let grid_systems: Vec<cccounter::CounterSystem> = valuations
+        .iter()
+        .map(|v| cccounter::CounterSystem::new(grid_model.clone(), v.clone()).expect("admissible"))
+        .collect();
+    println!(
+        "\nfull-grid sweep ({} valuations), incremental vs fresh (best of 3):",
+        valuations.len()
+    );
+    let mut lineage_stats = ccchecker::GraphCacheStats::default();
+    let incremental = best_of_3(|| {
+        lineage_stats = ccchecker::check_over_sweep_with_stats(
+            &grid_model,
+            &all_specs,
+            &valuations,
+            options,
+            1,
+        )
+        .1;
+    });
+    let fresh = best_of_3(|| {
+        for grid_sys in &grid_systems {
+            let _ = ExplicitChecker::with_options(grid_sys, options).check_all(&all_specs);
         }
+    });
+    println!("  fresh:         {fresh:>10.3?}");
+    println!(
+        "  incremental:   {incremental:>10.3?} ({:.2}x)",
+        fresh.as_secs_f64() / incremental.as_secs_f64()
+    );
+    println!("  {lineage_stats}");
+    println!(
+        "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
+         ({} action(s) cut) vs {} rebuilt",
+        lineage_stats.memo_hits(),
+        lineage_stats.memo_misses(),
+        lineage_stats.pruned_groups(),
+        lineage_stats.pruned_actions_total(),
+        lineage_stats.rebuilt_groups(),
+    );
+    for g in &lineage_stats.groups {
+        println!(
+            "    group {:<18} {:<8} {} obligation(s), {} states, {} seed(s), \
+             {} memo hit(s), {} KiB resident",
+            g.start,
+            g.origin.to_string(),
+            g.specs,
+            g.states,
+            g.seed_frontier,
+            g.memo_hits,
+            g.resident_bytes / 1024,
+        );
     }
+}
+
+/// The fastest of three timed runs.
+fn best_of_3(mut run: impl FnMut()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            run();
+            t.elapsed()
+        })
+        .min()
+        .unwrap()
 }

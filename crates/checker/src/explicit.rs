@@ -18,10 +18,7 @@
 //! [`crate::explorer`] docs for the engine and determinism story.
 
 use crate::counterexample::Counterexample;
-use crate::explorer::{
-    resolved_graph_cache, resolved_incremental_sweep, resolved_workers, row_occupancy_bits,
-    Exploration, Explorer, Visitor,
-};
+use crate::explorer::{resolved_workers, row_occupancy_bits, Exploration, Explorer, Visitor};
 use crate::game;
 use crate::graph::{BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
@@ -56,45 +53,6 @@ pub struct CheckerOptions {
     /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker and shard
     /// counts, the wave size never changes results.
     pub wave_size: usize,
-    /// Whether batched checks ([`ExplicitChecker::check_all`] and the
-    /// sweep) share one reachability graph across all the obligations of a
-    /// `(start restriction, valuation)` group instead of re-exploring per
-    /// obligation.  `None` resolves the `CC_GRAPH_CACHE` environment
-    /// variable (`0` disables) and defaults to enabled.  The cache never
-    /// changes a verdict; per-spec state/transition counts under the cache
-    /// are derived from the analysis pass (see the "Graph cache" section of
-    /// the crate docs).  [`ExplicitChecker::check`] always takes the
-    /// per-spec path regardless of this knob.
-    pub graph_cache: Option<bool>,
-    /// Whether a sweep carries each group's reachability graph *across*
-    /// valuations (reusing it outright when the compiled guard bounds are
-    /// identical, extending it incrementally when the step is relax-only;
-    /// see the "Incremental sweeps" section of the crate docs).  `None`
-    /// resolves the `CC_SWEEP_INCREMENTAL` environment variable (`0`
-    /// disables) and defaults to enabled.  The lineage never changes a
-    /// verdict, a count or a counterexample — an incremental sweep is
-    /// bit-identical to a from-scratch one; only the exploration work
-    /// differs.  Takes effect only where a lineage exists (sweeps and
-    /// [`ExplicitChecker::with_pool_and_lineage`]); single-valuation
-    /// checks are unaffected.
-    pub incremental_sweep: Option<bool>,
-    /// Whether a cached reachability graph memoises its per-obligation
-    /// verdicts, so an *identical*-classified lineage step (and any repeat
-    /// query of the same group) serves the stored outcome without rerunning
-    /// the analysis pass (see the "Verdict memoization & lineage
-    /// compaction" section of the crate docs).  `None` resolves the
-    /// `CC_VERDICT_MEMO` environment variable (`0` disables) and defaults
-    /// to enabled.  The memo never changes a verdict, a count or a
-    /// counterexample schedule.
-    pub verdict_memo: Option<bool>,
-    /// Whether a *tighten-only* lineage step (every changed guard atom
-    /// strictly tightened, same structure) prunes the predecessor graph in
-    /// place — dropping the actions whose guards no longer hold and
-    /// re-deriving reachability with the relink BFS — instead of rebuilding
-    /// the group from scratch.  `None` resolves the `CC_TIGHTEN_PRUNE`
-    /// environment variable (`0` disables) and defaults to enabled.  A
-    /// pruned graph is bit-identical to a fresh build.
-    pub tighten_prune: Option<bool>,
 }
 
 impl Default for CheckerOptions {
@@ -105,10 +63,6 @@ impl Default for CheckerOptions {
             workers: 0,
             shards: 0,
             wave_size: 0,
-            graph_cache: None,
-            incremental_sweep: None,
-            verdict_memo: None,
-            tighten_prune: None,
         }
     }
 }
@@ -133,41 +87,11 @@ impl CheckerOptions {
         self.wave_size = wave_size;
         self
     }
-
-    /// These options with the reachability-graph cache explicitly enabled
-    /// or disabled (overriding the `CC_GRAPH_CACHE` environment variable).
-    pub fn with_graph_cache(mut self, enabled: bool) -> Self {
-        self.graph_cache = Some(enabled);
-        self
-    }
-
-    /// These options with the incremental sweep explicitly enabled or
-    /// disabled (overriding the `CC_SWEEP_INCREMENTAL` environment
-    /// variable).
-    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.incremental_sweep = Some(enabled);
-        self
-    }
-
-    /// These options with verdict memoization explicitly enabled or
-    /// disabled (overriding the `CC_VERDICT_MEMO` environment variable).
-    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.verdict_memo = Some(enabled);
-        self
-    }
-
-    /// These options with the tighten-only prune explicitly enabled or
-    /// disabled (overriding the `CC_TIGHTEN_PRUNE` environment variable).
-    pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.tighten_prune = Some(enabled);
-        self
-    }
 }
 
 /// The worker pool a checker runs on: its own (one pool per checker, reused
 /// across every check and every level), or one shared by the caller — a
-/// cached sweep reuses one pool across its whole grid, the per-cell
-/// scheduler one per grid worker.
+/// sweep reuses one pool across its whole grid.
 #[derive(Debug)]
 enum PoolSource<'a> {
     Owned(WorkerPool),
@@ -284,10 +208,9 @@ pub(crate) fn find_progress_cycle(sys: &CounterSystem) -> Option<ccta::LocId> {
 
 /// Per-checker memoisation shared by every check: the enumerated start
 /// configurations per start restriction (reused even on the per-spec path)
-/// and — when the graph cache is enabled — the reachability graph per
-/// start restriction, plus its accounting.  The valuation is fixed per
-/// checker, so the start restriction alone keys a
-/// `(start restriction, valuation)` group.
+/// and the reachability graph per start restriction, plus its accounting.
+/// The valuation is fixed per checker, so the start restriction alone keys
+/// a `(start restriction, valuation)` group.
 #[derive(Default)]
 struct CheckerMemo {
     starts: Vec<(StartRestriction, Arc<Vec<Configuration>>)>,
@@ -350,8 +273,8 @@ impl<'a> ExplicitChecker<'a> {
 
     /// Creates a checker running its parallel phases on a caller-owned
     /// pool, whose lane count overrides [`CheckerOptions::workers`].  This
-    /// is how [`crate::check_over_sweep`] shares one pool across the grid
-    /// cells it processes.
+    /// is how [`crate::CheckJob`] runs its obligations, and how a sweep
+    /// retries a panicked cell on a fresh pool.
     ///
     /// # Panics
     ///
@@ -370,11 +293,8 @@ impl<'a> ExplicitChecker<'a> {
     /// the same group built at a previous valuation, reusing it outright
     /// when the compiled guard bounds are identical and extending it
     /// incrementally when the step is relax-only (see the "Incremental
-    /// sweeps" crate docs).  A cached sweep passes one lineage spanning its
-    /// whole valuation-ordered grid.  An explicit
-    /// [`CheckerOptions::incremental_sweep`] of `false` (or
-    /// `CC_SWEEP_INCREMENTAL=0`) makes this identical to
-    /// [`ExplicitChecker::with_pool`].
+    /// sweeps" crate docs).  A sweep passes one lineage spanning its whole
+    /// valuation-ordered grid.
     ///
     /// # Panics
     ///
@@ -386,9 +306,7 @@ impl<'a> ExplicitChecker<'a> {
         lineage: &'a GraphLineage,
     ) -> Self {
         let mut checker = Self::assemble(sys, options, PoolSource::Shared(pool));
-        if resolved_incremental_sweep(&options) {
-            checker.lineage = Some((lineage, sys.guard_bounds()));
-        }
+        checker.lineage = Some((lineage, sys.guard_bounds()));
         checker
     }
 
@@ -540,9 +458,8 @@ impl<'a> ExplicitChecker<'a> {
     /// query of a `(start restriction, valuation)` group pays one
     /// monitor-free exploration, every further query of the group is an
     /// `O(states + edges)` analysis pass over the cached graph.  Falls back
-    /// to the per-spec path when the cache is disabled (see
-    /// [`CheckerOptions::graph_cache`]), the spec shape is not served by
-    /// the cache, or the group's build tripped a resource budget (the
+    /// to the per-spec path when the spec shape is not served by the
+    /// cache, or the group's build tripped a resource budget (the
     /// pruned per-spec searches can still produce a definite verdict within
     /// the same budget, so a bounded build must not blanket the group with
     /// `Unknown`).
@@ -555,7 +472,7 @@ impl<'a> ExplicitChecker<'a> {
             Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= 3,
             _ => true,
         };
-        if !resolved_graph_cache(&self.options) || !cacheable {
+        if !cacheable {
             self.memo.borrow_mut().stats.uncached_specs += 1;
             return self.check(spec);
         }
@@ -583,10 +500,9 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Checks a slice of queries, sharing one reachability graph across all
-    /// the queries of each `(start restriction, valuation)` group when the
-    /// graph cache is enabled (the default; see
-    /// [`CheckerOptions::graph_cache`]).  Outcomes are returned in spec
-    /// order and verdicts are identical to checking each spec on its own.
+    /// the queries of each `(start restriction, valuation)` group.
+    /// Outcomes are returned in spec order and verdicts are identical to
+    /// checking each spec on its own.
     pub fn check_all(&self, specs: &[Spec]) -> Vec<CheckOutcome> {
         specs.iter().map(|spec| self.check_cached(spec)).collect()
     }
@@ -1024,8 +940,7 @@ mod tests {
     fn cached_catalogue_agrees_with_the_per_spec_path() {
         let sys = sys();
         let specs = catalogue(&sys);
-        let cached_checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(true));
+        let cached_checker = ExplicitChecker::new(&sys);
         let (cached, stats) = cached_checker.check_all_with_stats(&specs);
         let per_spec: Vec<_> = specs
             .iter()
@@ -1062,46 +977,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_takes_the_per_spec_path() {
-        let sys = sys();
-        let specs = catalogue(&sys);
-        let checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false));
-        let (outcomes, stats) = checker.check_all_with_stats(&specs);
-        assert_eq!(stats.graphs_built(), 0);
-        assert_eq!(stats.uncached_specs, specs.len());
-        assert!(format!("{stats}").contains("per-spec path"));
-        // the uncached batch matches checking each spec individually exactly
-        for ((spec, o), direct) in specs
-            .iter()
-            .zip(&outcomes)
-            .zip(specs.iter().map(|s| ExplicitChecker::new(&sys).check(s)))
-        {
-            assert_eq!(o.status, direct.status, "{}", spec.name());
-            assert_eq!(o.states_explored, direct.states_explored, "{}", spec.name());
-            assert_eq!(
-                o.transitions_explored,
-                direct.transitions_explored,
-                "{}",
-                spec.name()
-            );
-        }
-    }
-
-    #[test]
     fn cached_checks_are_worker_independent() {
         let sys = sys();
         let specs = catalogue(&sys);
-        let baseline = ExplicitChecker::with_options(
-            &sys,
-            CheckerOptions::sequential().with_graph_cache(true),
-        )
-        .check_all(&specs);
+        let baseline =
+            ExplicitChecker::with_options(&sys, CheckerOptions::sequential()).check_all(&specs);
         for workers in [2, 4] {
             let options = CheckerOptions::default()
                 .with_workers(workers)
-                .with_wave_size(1)
-                .with_graph_cache(true);
+                .with_wave_size(1);
             let parallel = ExplicitChecker::with_options(&sys, options).check_all(&specs);
             for ((spec, b), p) in specs.iter().zip(&baseline).zip(&parallel) {
                 assert_eq!(b.status, p.status, "{} at {workers} workers", spec.name());
@@ -1144,10 +1028,9 @@ mod tests {
             start: StartRestriction::RoundStart,
             forbidden: LocSet::from_names(sys.model(), "I1", &["I1"]),
         };
-        let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(true));
+        let checker = ExplicitChecker::with_options(&sys, options);
         let (outcomes, stats) = checker.check_all_with_stats(std::slice::from_ref(&spec));
-        let direct = ExplicitChecker::with_options(&sys, options.with_graph_cache(false));
-        assert_eq!(outcomes[0], direct.check(&spec));
+        assert_eq!(outcomes[0], checker.check(&spec));
         assert_eq!(outcomes[0].status, crate::CheckStatus::Unknown);
         assert!(outcomes[0].detail.contains("bound"));
         // the bounded build is recorded as a miss serving nothing; the spec

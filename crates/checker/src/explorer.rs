@@ -216,75 +216,6 @@ pub(crate) fn resolved_workers(options: &CheckerOptions) -> usize {
     })
 }
 
-/// Whether checks should share reachability graphs across the obligations
-/// of one `(start restriction, valuation)` group: an explicit
-/// [`CheckerOptions::graph_cache`] setting wins; `None` defers to the
-/// `CC_GRAPH_CACHE` environment variable (`0` disables), defaulting to
-/// enabled.  Like the thread knobs, the resolution is memoised process-wide.
-pub(crate) fn resolved_graph_cache(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.graph_cache {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_GRAPH_CACHE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether sweeps should carry reachability graphs *across* the valuations
-/// of a start-restriction group (reusing or incrementally extending them
-/// when only guard bounds changed): an explicit
-/// [`CheckerOptions::incremental_sweep`] setting wins; `None` defers to the
-/// `CC_SWEEP_INCREMENTAL` environment variable (`0` disables), defaulting
-/// to enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_incremental_sweep(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.incremental_sweep {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_SWEEP_INCREMENTAL")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether cached graphs memoise per-obligation verdicts across the
-/// valuations of an identical-classified lineage step: an explicit
-/// [`CheckerOptions::verdict_memo`] setting wins; `None` defers to the
-/// `CC_VERDICT_MEMO` environment variable (`0` disables), defaulting to
-/// enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_verdict_memo(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.verdict_memo {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_VERDICT_MEMO")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether tighten-only lineage steps prune the predecessor graph in place
-/// instead of rebuilding the group from scratch: an explicit
-/// [`CheckerOptions::tighten_prune`] setting wins; `None` defers to the
-/// `CC_TIGHTEN_PRUNE` environment variable (`0` disables), defaulting to
-/// enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_tighten_prune(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.tighten_prune {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_TIGHTEN_PRUNE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
 /// The wave size for the given options: an explicit `wave_size` setting
 /// wins; `0` defers to the `CC_WAVE_SIZE` environment variable and then to
 /// [`DEFAULT_WAVE_SIZE`].

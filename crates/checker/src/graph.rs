@@ -234,9 +234,6 @@ impl GraphLineage {
             GuardStep::Identical => LineageStep::Reuse(entry.graph),
             GuardStep::Mixed => LineageStep::Build { rebuilt: true },
             GuardStep::TightenOnly { changed } => {
-                if !crate::explorer::resolved_tighten_prune(options) {
-                    return LineageStep::Build { rebuilt: true };
-                }
                 let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
@@ -864,9 +861,6 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> (CheckOutcome, bool) {
-        if !crate::explorer::resolved_verdict_memo(options) {
-            return (self.evaluate(sys, spec, options, signals), false);
-        }
         let hit = self
             .memo
             .borrow()
@@ -1554,7 +1548,7 @@ mod tests {
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
         let pool = WorkerPool::new(1);
-        let options = CheckerOptions::default().with_verdict_memo(true);
+        let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
         let graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
         let spec = Spec::NonBlocking {
@@ -1566,10 +1560,7 @@ mod tests {
         let (second, hit) = graph.evaluate_memo(&sys, &spec, &options, None);
         assert!(hit, "an identical re-evaluation is a memo hit");
         assert_eq!(first, second);
-        // switching the knob off bypasses the memo, same outcome
-        let off = CheckerOptions::default().with_verdict_memo(false);
-        let (third, hit) = graph.evaluate_memo(&sys, &spec, &off, None);
-        assert!(!hit);
-        assert_eq!(first, third);
+        // the memo serves exactly what a pass over the graph recomputes
+        assert_eq!(first, graph.evaluate(&sys, &spec, &options, None));
     }
 }

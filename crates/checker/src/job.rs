@@ -29,7 +29,7 @@
 //! checkpoint-boundary, latency and budget-semantics contract.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
-use crate::explorer::{resolved_graph_cache, resolved_workers};
+use crate::explorer::resolved_workers;
 use crate::graph::{BuildInFlight, BuildStep, ReachGraph};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
@@ -478,7 +478,6 @@ impl<'a> CheckJob<'a> {
         let mut signals = JobSignals::new(self.cancel.clone(), self.budget);
         signals.progress = self.progress.clone();
         let pool = WorkerPool::new(resolved_workers(&self.options));
-        let use_cache = resolved_graph_cache(&self.options);
         let mut checker = ExplicitChecker::with_pool(self.sys, self.options, &pool);
         checker.set_signals(Some(&signals));
 
@@ -498,7 +497,7 @@ impl<'a> CheckJob<'a> {
                 Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= 3,
                 _ => true,
             };
-            let outcome = if use_cache && cacheable {
+            let outcome = if cacheable {
                 match self.cached_obligation(&mut cp, spec, &signals, &pool, &checker) {
                     Ok(outcome) => outcome,
                     Err(kind) => return Self::suspend(cp, kind),
@@ -719,7 +718,7 @@ mod tests {
     fn uninterrupted_job_matches_check_all() {
         let sys = sys();
         let specs = specs(&sys);
-        let options = CheckerOptions::default().with_graph_cache(true);
+        let options = CheckerOptions::default();
         let job = CheckJob::new(&sys, &specs, options);
         let (outcomes, stats) = job.run().completed().expect("unlimited job completes");
         let (reference, ref_stats) =
@@ -736,7 +735,7 @@ mod tests {
     fn state_budget_trips_then_resume_is_bit_identical() {
         let sys = sys();
         let specs = specs(&sys);
-        let options = CheckerOptions::default().with_graph_cache(true);
+        let options = CheckerOptions::default();
         let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
         let tripped = CheckJob::new(&sys, &specs, options)
@@ -756,6 +755,45 @@ mod tests {
         for (o, r) in outcomes.iter().zip(&reference) {
             assert_same(o, r);
         }
+    }
+
+    #[test]
+    fn per_spec_obligation_trips_then_resumes_bit_identically() {
+        // a game spec over four tracked sets is wider than the graph cache
+        // serves, so the job checks it on the per-spec path, whose search
+        // keeps no checkpointable store and is redone whole on resume
+        let sys = sys();
+        let model = sys.model();
+        let spec = Spec::ExistsAvoidOneOf {
+            name: "avoid-one-of-four".into(),
+            start: StartRestriction::RoundStart,
+            forbidden_sets: ["E0", "E1", "I0", "I1"]
+                .iter()
+                .map(|&loc| LocSet::from_names(model, loc, &[loc]))
+                .collect(),
+        };
+        let specs = [spec];
+        let options = CheckerOptions::default();
+        let reference = ExplicitChecker::with_options(&sys, options).check(&specs[0]);
+
+        let tripped = CheckJob::new(&sys, &specs, options)
+            .with_budget(JobBudget::unlimited().with_max_states(5))
+            .run();
+        let JobOutcome::BudgetExceeded {
+            reason, checkpoint, ..
+        } = tripped
+        else {
+            panic!("a 5-state budget must trip the per-spec search");
+        };
+        assert_eq!(reason, InterruptKind::StateBudget);
+        assert_eq!(checkpoint.completed_obligations(), 0);
+        assert!(!checkpoint.has_build_in_flight());
+
+        let resumed = CheckJob::new(&sys, &specs, options).resume(checkpoint);
+        let (outcomes, stats) = resumed.completed().expect("unlimited resume completes");
+        assert_same(&outcomes[0], &reference);
+        assert_eq!(stats.uncached_specs, 1);
+        assert_eq!(stats.graphs_built(), 0);
     }
 
     #[test]

@@ -52,13 +52,12 @@
 //!   hooks.  Verdicts, state counts, transition counts and counterexample
 //!   schedules are bit-identical at every worker count, shard count and
 //!   wave size.
-//! * **Budgeted sweep** ([`sweep::check_over_sweep`]) — the graph-cached
-//!   scheduler walks the `query × valuation` grid in valuation order
-//!   through one graph lineage, and the thread budget left over after
-//!   covering the grid's valuations is handed to the in-check workers of
-//!   each cell; with the cache off, cells fan out over a scoped worker
-//!   pool instead.  Reports are deterministic; cells cancelled after an
-//!   earlier violation appear as explicit skipped outcomes.
+//! * **Budgeted sweep** ([`sweep::check_over_sweep_with_stats`]) — the
+//!   sweep walks the `query × valuation` grid in valuation order through
+//!   one graph lineage, and the thread budget left over after covering the
+//!   grid's valuations is handed to the in-check workers of each cell.
+//!   Reports are deterministic; cells cancelled after an earlier violation
+//!   appear as explicit skipped outcomes.
 //!
 //! # Graph cache: explore once, evaluate many
 //!
@@ -99,15 +98,13 @@
 //!   holding `NonBlocking` they coincide exactly with the per-spec search.
 //!   Verdicts never differ — a cache build that trips a resource budget
 //!   falls back to the per-spec search rather than reporting the whole
-//!   group `Unknown`, and `random_differential`'s cached axis pins
-//!   cached ≡ uncached verdicts (and counterexample replay) across the
-//!   random corpus at 1/2/4 workers.
-//! * **Knob precedence.**  [`CheckerOptions::graph_cache`] (explicit
-//!   `Some(true)`/`Some(false)`) over the `CC_GRAPH_CACHE` environment
-//!   variable (`0` disables) over the default (enabled).
-//!   [`ExplicitChecker::check`] always takes the per-spec path — that is
-//!   the path `engine_equivalence` compares bit-for-bit against
-//!   [`reference`].
+//!   group `Unknown`, and `random_differential`'s cached axis pins the
+//!   cached verdicts (and counterexample replay) to the per-spec path's
+//!   across the random corpus at 1/2/4 workers.
+//! * **Per-spec path.**  [`ExplicitChecker::check`] always takes the
+//!   per-spec path — that is the path `engine_equivalence` compares
+//!   bit-for-bit against [`reference`], and the differential suites'
+//!   independent oracle for the cache.
 //!
 //! # Incremental sweeps: one sweep, one graph lineage
 //!
@@ -143,7 +140,7 @@
 //!   from-scratch build at `v'` would have produced them, and the CSR
 //!   arenas are compacted around the replaced spans — so verdicts,
 //!   counts and counterexample schedules are **bit-identical** to a fresh
-//!   sweep (pinned by `random_differential`'s incremental axis and the
+//!   build (pinned by `random_differential`'s incremental axis and the
 //!   extended-graph half of `counterexample_replay`).
 //! * **Lineage lifetime & memory.**  A cached sweep owns one lineage and
 //!   walks the whole grid through it in valuation order, on one thread at
@@ -160,12 +157,11 @@
 //!   [`GroupCacheRecord::resident_bytes`] and printed by `profile_engine`.  Budget-tripped builds never enter the lineage, and
 //!   a budget-tripped extension falls back to a from-scratch rebuild, so
 //!   bounded-build semantics match the fresh path exactly.
-//! * **Knob precedence.**  [`CheckerOptions::incremental_sweep`]
-//!   (explicit `Some`) over the `CC_SWEEP_INCREMENTAL` environment
-//!   variable (`0` disables) over the default (enabled).  The
-//!   `sweep_amortization` axis of the `table2_checking` bench measures the
-//!   whole-sweep speedup (incremental vs fresh over each protocol's full
-//!   8-valuation grid).
+//! * **Fresh oracle.**  A fresh [`ExplicitChecker::check_all`] per
+//!   valuation has no lineage and no repeat queries, so the differential suites compare
+//!   every sweep cell against it, and the `sweep_amortization` axis of the
+//!   `table2_checking` bench measures the whole-sweep speedup against it
+//!   over each protocol's full 8-valuation grid.
 //!
 //! # Verdict memoization & lineage compaction
 //!
@@ -192,21 +188,18 @@
 //!   actions are compacted out of the CSR arenas, and the same *relink*
 //!   BFS as the extension path re-derives discovery order, parent edges
 //!   and counts — so a pruned graph is **bit-identical** to a fresh build
-//!   at the tightened valuation (pinned by the `random_differential`
-//!   lever axis).  The prune is infallible: no budget that admitted the
-//!   old graph can trip on its subset.  Note what is *not* attempted:
-//!   seeding future analysis passes from prior violation bitsets would
-//!   change the reported product counts, breaking the lever-on/off
-//!   differential contract, so passes always re-walk the pruned graph.
-//! * **Knob precedence.**  [`CheckerOptions::verdict_memo`] over
-//!   `CC_VERDICT_MEMO` (`0` disables) over the default (enabled), and
-//!   [`CheckerOptions::tighten_prune`] over `CC_TIGHTEN_PRUNE` (`0`
-//!   disables) over the default (enabled); `VerifierConfig` and the
-//!   `table2` binary (`--no-verdict-memo` / `--no-tighten-prune`) expose
-//!   the same toggles.  Neither lever ever changes a verdict, a count
-//!   or a counterexample (pinned across the random corpus at 1/2/4 workers
-//!   by `random_differential`); the `sweep_amortization` bench isolates
-//!   each lever's wall-clock gain.
+//!   at the tightened valuation (pinned by `random_differential`'s
+//!   fresh-checker oracle).  The prune is infallible: no budget that
+//!   admitted the old graph can trip on its subset.  Note what is *not*
+//!   attempted: seeding future analysis passes from prior violation
+//!   bitsets would change the reported product counts, breaking the
+//!   fresh-checker differential contract, so passes always re-walk the
+//!   pruned graph.
+//! * **Verdicts unchanged.**  Neither lever ever changes a verdict, a count or a counterexample (pinned across the
+//!   random corpus at 1/2/4 workers by `random_differential`).  The prune
+//!   pays on the generated-family grid: at 144 families and a 2-thread
+//!   budget on a 2-vCPU host that grid ran at 2,961 cells/s (median) with
+//!   it, against 2,552 with every pruned step rebuilt instead.
 //!
 //! # Memory model
 //!
@@ -227,11 +220,10 @@
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
 //!   level, not per check call) and joined when the checker is dropped.  A
-//!   cached sweep creates one pool for the whole grid, the per-cell
-//!   scheduler one per grid worker, each shared across every cell it
-//!   serves ([`ExplicitChecker::with_pool`]).  A
-//!   resolved worker count of 1 spawns no threads at all — the sequential
-//!   loop pays no synchronisation.
+//!   sweep creates one pool for the whole grid, shared across every cell
+//!   ([`ExplicitChecker::with_pool_and_lineage`]).  A resolved worker count
+//!   of 1 spawns no threads at all — the sequential loop pays no
+//!   synchronisation.
 //!
 //! # Thread and wave knob precedence
 //!
@@ -239,7 +231,7 @@
 //!
 //! 1. Explicit configuration: [`CheckerOptions::workers`] /
 //!    [`CheckerOptions::shards`] / [`CheckerOptions::wave_size`] for one
-//!    check, [`sweep::check_over_sweep_with_threads`]'s budget (fed by
+//!    check, [`sweep::check_over_sweep_with_stats`]'s budget (fed by
 //!    `VerifierConfig::threads` and the `--threads` flag of the `table2` /
 //!    `profile_engine` binaries) for a sweep.
 //! 2. Environment: `CC_CHECK_THREADS` (in-check workers when
@@ -255,8 +247,8 @@
 //! # Job lifecycle & fault model
 //!
 //! [`CheckJob`] wraps a batch check in an interruptible state machine, and
-//! [`check_over_sweep_cancellable`] / [`resume_sweep`] extend the same
-//! contract to the sweep grid:
+//! [`check_over_sweep_cancellable`] (whose `prior` reports resume an
+//! interrupted sweep) extends the same contract to the sweep grid:
 //!
 //! * **Checkpoint boundaries.**  A job suspends only at *wave boundaries*
 //!   of an exploration (including level ends — a level is processed as a
@@ -310,9 +302,8 @@
 //!   the full grid ([`SweepOutcome::disposition`]).
 //! * **Knob precedence.**  As everywhere in this crate: explicit
 //!   [`CheckerOptions`] / [`JobBudget`] fields over environment variables
-//!   (`CC_CHECK_THREADS`, `CC_SWEEP_THREADS`, `CC_WAVE_SIZE`,
-//!   `CC_GRAPH_CACHE`, `CC_SWEEP_INCREMENTAL`, `CC_VERDICT_MEMO`,
-//!   `CC_TIGHTEN_PRUNE`) over built-in defaults.
+//!   (`CC_CHECK_THREADS`, `CC_SWEEP_THREADS`, `CC_WAVE_SIZE`) over
+//!   built-in defaults.
 //!   The `--deadline-ms` / `--max-resident-bytes` flags of the `table2`
 //!   and `profile_engine` binaries feed [`JobBudget`] directly.
 //!
@@ -368,7 +359,6 @@ pub use schema::{
 pub use spec::{LocSet, Spec, StartRestriction};
 pub use store::{StateStore, StoreStats};
 pub use sweep::{
-    check_over_sweep, check_over_sweep_cancellable, check_over_sweep_with_stats,
-    check_over_sweep_with_threads, resume_sweep, sweep_thread_budget, CellDisposition,
-    SweepOutcome, SweepReport,
+    check_over_sweep_cancellable, check_over_sweep_with_stats, sweep_thread_budget,
+    CellDisposition, SweepOutcome, SweepReport,
 };

@@ -4,9 +4,8 @@
 //! every wide BFS level — cheap for a handful of deep levels, but a real tax
 //! on searches with hundreds of wide levels and on sweeps running thousands
 //! of sub-millisecond checks.  [`WorkerPool`] amortises that cost: the
-//! threads are spawned once (per check, or once per sweep — per grid worker
-//! with the graph cache off — and shared across the grid cells it
-//! processes) and every parallel phase is a *batch* of closures pushed onto
+//! threads are spawned once (per check, or once per sweep and shared
+//! across its grid cells) and every parallel phase is a *batch* of closures pushed onto
 //! the pool's queue.
 //!
 //! # Design
@@ -141,9 +140,8 @@ impl Shared {
 /// A persistent fork-join pool of `threads` lanes (see the module docs).
 ///
 /// Created once per check by [`crate::ExplicitChecker`] — or once per sweep
-/// worker by [`crate::check_over_sweep`], which reuses it across every grid
-/// cell that worker processes — and dropped (joining its threads) with its
-/// owner.
+/// by [`crate::check_over_sweep_with_stats`], which reuses it across every
+/// grid cell — and dropped (joining its threads) with its owner.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     /// Spawned lazily by the first multi-task batch: a pool that only ever

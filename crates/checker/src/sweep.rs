@@ -7,22 +7,14 @@
 //!
 //! # Thread budget
 //!
-//! A sweep runs under one *thread budget*: [`check_over_sweep_with_threads`]'s
-//! argument, or (for [`check_over_sweep`]) the `CC_SWEEP_THREADS`
-//! environment variable, falling back to the available parallelism.  How
-//! the budget is spent depends on the scheduler:
-//!
-//! * The graph-cached scheduler (the default, below) walks the valuations
-//!   on the calling thread and hands each check `budget / min(budget,
-//!   width)` in-check workers (see [`crate::explorer`]), so a
-//!   single-valuation grid gives the explorer its whole budget.
-//! * The per-cell scheduler (graph cache off) runs `min(budget, cells)`
-//!   grid cells concurrently with the remaining factor as in-check
-//!   workers: a 16-thread budget over a 4-cell grid runs 4 cells with 4
-//!   workers each.
-//!
-//! An explicit [`CheckerOptions::workers`] setting always wins over the
-//! derived in-check worker count.
+//! A sweep runs under one *thread budget*, the `threads` argument of both
+//! entry points (callers resolve `CC_SWEEP_THREADS` and the available
+//! parallelism through [`sweep_thread_budget`]).  The sweep walks the
+//! valuations on the calling thread and hands each check `budget /
+//! min(budget, width)` in-check workers (see [`crate::explorer`]), so a
+//! single-valuation grid gives the explorer its whole budget.  An explicit
+//! [`CheckerOptions::workers`] setting always wins over the derived
+//! in-check worker count.
 //!
 //! Reports keep the deterministic sequential semantics regardless of any of
 //! these knobs: outcomes are assembled in valuation order, and every grid
@@ -33,16 +25,15 @@
 //!
 //! # Graph-cache batching
 //!
-//! With the reachability-graph cache enabled (the default, see the "Graph
-//! cache" section of the crate docs), the unit of scheduled work is a whole
-//! *valuation* rather than a single `(query, valuation)` cell: one
-//! [`ExplicitChecker`] per valuation runs the full spec slice through
-//! cached checks, so every query sharing a start restriction reuses one
-//! exploration of that valuation's reachable graph.  Every valuation
+//! The unit of scheduled work is a whole *valuation* rather than a single
+//! `(query, valuation)` cell (see the "Graph cache" section of the crate
+//! docs): one [`ExplicitChecker`] per valuation runs the full spec slice
+//! through cached checks, so every query sharing a start restriction reuses
+//! one exploration of that valuation's reachable graph.  Every valuation
 //! shares one [`GraphLineage`], so each start-restriction group's lineage
 //! chain runs unbroken from the first valuation to the last, and the cache
 //! accounting [`check_over_sweep_with_stats`] returns (merged in valuation
-//! order) is the same at every budget.  A cached sweep is one chain
+//! order) is the same at every budget.  A sweep is one chain
 //! because cutting it into per-thread blocks bought nothing: at a 2-thread
 //! budget on a 2-vCPU host the split paid about 985 instead of 698
 //! explorations per pass of the benchmark's generated-family grid (72
@@ -64,13 +55,13 @@
 //! re-dispatched on a fresh pool without any lineage — without disturbing
 //! their siblings.  The four dispositions partition the grid, so
 //! `completed + skipped + interrupted + failed` always equals the grid
-//! size.  [`resume_sweep`] continues an interrupted sweep from its reports,
-//! carrying completed cells over verbatim and recomputing the rest; a
-//! resumed sweep that runs to completion is bit-identical to an
+//! size.  Passing those reports back as `prior` continues an interrupted
+//! sweep, carrying completed cells over verbatim and recomputing the rest;
+//! a resumed sweep that runs to completion is bit-identical to an
 //! uninterrupted run.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
-use crate::explorer::{resolved_graph_cache, resolved_workers};
+use crate::explorer::resolved_workers;
 use crate::graph::GraphLineage;
 use crate::job::{CancelToken, InterruptKind, JobBudget, JobSignals};
 use crate::pool::WorkerPool;
@@ -80,8 +71,6 @@ use crate::spec::Spec;
 use cccounter::CounterSystem;
 use ccta::{ParamValuation, SystemModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How one grid cell of a sweep ended up in its report.
@@ -94,7 +83,8 @@ pub enum CellDisposition {
     /// Stopped by a job signal — a tripped [`CancelToken`], deadline or
     /// budget cap — either mid-cell (the outcome then carries the partial
     /// state/transition counts) or before the cell was ever dispatched.
-    /// Interrupted cells are recomputed by [`resume_sweep`].
+    /// Interrupted cells are recomputed by a resumed
+    /// [`check_over_sweep_cancellable`].
     Interrupted,
     /// The cell panicked on the shared pool *and* once more after being
     /// re-dispatched on a fresh pool without a lineage; its outcome detail
@@ -112,12 +102,8 @@ pub struct SweepOutcome {
     pub outcome: CheckOutcome,
     /// Wall-clock time of the check.
     pub duration: Duration,
-    /// Whether this cell was skipped (cancelled because an earlier
-    /// valuation of the same query already violated); skipped cells carry
-    /// an empty `Unknown` outcome and a zero duration.
-    pub skipped: bool,
-    /// How the cell ended up in the report; `skipped` is `true` exactly
-    /// when this is [`CellDisposition::Skipped`].
+    /// How the cell ended up in the report; [`CellDisposition::Skipped`]
+    /// cells carry an empty `Unknown` outcome and a zero duration.
     pub disposition: CellDisposition,
 }
 
@@ -135,7 +121,6 @@ impl SweepOutcome {
             params,
             outcome,
             duration,
-            skipped: false,
             disposition,
         }
     }
@@ -146,7 +131,6 @@ impl SweepOutcome {
             params,
             outcome: CheckOutcome::unknown(0, 0, "skipped: an earlier valuation violated"),
             duration: Duration::ZERO,
-            skipped: true,
             disposition: CellDisposition::Skipped,
         }
     }
@@ -158,7 +142,6 @@ impl SweepOutcome {
             params,
             outcome: CheckOutcome::interrupted(0, 0, kind),
             duration: Duration::ZERO,
-            skipped: false,
             disposition: CellDisposition::Interrupted,
         }
     }
@@ -169,7 +152,6 @@ impl SweepOutcome {
             params,
             outcome: CheckOutcome::unknown(0, 0, format!("failed: {detail}")),
             duration,
-            skipped: false,
             disposition: CellDisposition::Failed,
         }
     }
@@ -199,11 +181,9 @@ impl SweepReport {
             .any(|o| o.outcome.status == CheckStatus::Violated)
         {
             CheckStatus::Violated
-        } else if self
-            .outcomes
-            .iter()
-            .any(|o| !o.skipped && o.outcome.status == CheckStatus::Unknown)
-        {
+        } else if self.outcomes.iter().any(|o| {
+            o.disposition != CellDisposition::Skipped && o.outcome.status == CheckStatus::Unknown
+        }) {
             CheckStatus::Unknown
         } else {
             CheckStatus::Holds
@@ -224,11 +204,14 @@ impl SweepReport {
 
     /// Number of grid cells that were skipped after an earlier violation.
     pub fn skipped_cells(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.skipped).count()
+        self.outcomes
+            .iter()
+            .filter(|o| o.disposition == CellDisposition::Skipped)
+            .count()
     }
 
     /// Number of grid cells a job signal interrupted (mid-cell or before
-    /// dispatch); these are the cells [`resume_sweep`] recomputes.
+    /// dispatch); these are the cells a resumed sweep recomputes.
     pub fn interrupted_cells(&self) -> usize {
         self.outcomes
             .iter()
@@ -316,41 +299,7 @@ fn cell_retry_policy() -> RetryPolicy {
     RetryPolicy::attempts(2)
 }
 
-/// One cell of the `query × valuation` grid, run on the sweep worker's
-/// shared pool (one pool per worker, reused across all its cells).  A
-/// panicking cell fails alone: the shared [`crate::retry`] supervisor
-/// re-dispatches it exactly once on a fresh pool and a fresh checker, and
-/// only a second panic produces a [`CellDisposition::Failed`] record.
-fn run_one(
-    sys: &CounterSystem,
-    spec: &Spec,
-    options: CheckerOptions,
-    pool: &WorkerPool,
-    job: Option<&JobSignals>,
-) -> SweepOutcome {
-    let started = Instant::now();
-    let result = run_with_retry(&cell_retry_policy(), 0, |attempt| {
-        let fresh;
-        let attempt_pool = if attempt == 0 {
-            pool
-        } else {
-            fresh = WorkerPool::new(resolved_workers(&options));
-            &fresh
-        };
-        catch_cell(attempt_pool, || {
-            crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
-            let mut checker = ExplicitChecker::with_pool(sys, options, attempt_pool);
-            checker.set_signals(job);
-            checker.check(spec)
-        })
-    });
-    match result {
-        Ok(outcome) => SweepOutcome::completed(sys.params().clone(), outcome, started.elapsed()),
-        Err(detail) => SweepOutcome::failed(sys.params().clone(), detail, started.elapsed()),
-    }
-}
-
-/// One cached-path cell: served by the valuation's shared checker (and its
+/// One grid cell: served by the valuation's shared checker (and its
 /// graph memo) on the happy path; a panicking cell is re-dispatched once on
 /// a fresh pool and a fresh lineage-free checker — the fresh-rebuild path —
 /// before being reported failed.
@@ -385,7 +334,9 @@ fn run_cached_cell(
     }
 }
 
-/// Checks each query on every valuation of the sweep, in parallel.
+/// Checks each query on every valuation of the sweep under a total thread
+/// budget (see the module docs), returning the reports and the graph-cache
+/// accounting of the sweep, merged in valuation order.
 ///
 /// The model must be a single-round model (Definition 3).  Valuations that
 /// are not admissible for the model's environment are dropped before the
@@ -393,32 +344,6 @@ fn run_cached_cell(
 /// cell in valuation order; cells after the query's first violation are
 /// explicit skipped records, exactly as a sequential sweep would have left
 /// them unchecked.
-pub fn check_over_sweep(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-) -> Vec<SweepReport> {
-    check_over_sweep_with_threads(model, specs, valuations, options, sweep_thread_budget(0))
-}
-
-/// [`check_over_sweep`] with an explicit total thread budget, bypassing the
-/// `CC_SWEEP_THREADS` environment lookup.  The budget is split between grid
-/// cells and in-check workers (see the module docs); `1` forces the fully
-/// sequential path.
-pub fn check_over_sweep_with_threads(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-    threads: usize,
-) -> Vec<SweepReport> {
-    check_over_sweep_with_stats(model, specs, valuations, options, threads).0
-}
-
-/// [`check_over_sweep_with_threads`] plus the aggregated graph-cache
-/// accounting of the sweep (merged in valuation order; empty when the cache
-/// is disabled).
 pub fn check_over_sweep_with_stats(
     model: &SystemModel,
     specs: &[Spec],
@@ -429,15 +354,24 @@ pub fn check_over_sweep_with_stats(
     sweep_impl(model, specs, valuations, options, threads, None, None)
 }
 
-/// [`check_over_sweep_with_threads`] under a job lifecycle: the sweep polls
+/// [`check_over_sweep_with_stats`] under a job lifecycle: the sweep polls
 /// `cancel` and the budget's deadline before every cell (and the cell's own
 /// exploration polls them at wave boundaries, so cancellation latency is
 /// one wave), and applies the budget's state/transition/resident caps to
 /// each cell individually.  Cells the sweep never reached are explicit
-/// [`CellDisposition::Interrupted`] records; feed the reports to
-/// [`resume_sweep`] to continue without redoing completed cells.  With a
-/// never-cancelled token and an unlimited budget this is exactly
-/// [`check_over_sweep_with_stats`].
+/// [`CellDisposition::Interrupted`] records.  With a never-cancelled token
+/// and an unlimited budget this is exactly [`check_over_sweep_with_stats`].
+///
+/// `prior` resumes an interrupted sweep from its reports: completed cells
+/// are carried over verbatim (outcome, duration and all), their violations
+/// keep cancelling later cells of the same query, and only interrupted,
+/// failed and skipped-by-violation cells are recomputed or re-derived.
+/// Cells are deterministic and recomputed whole, so a resumed sweep that
+/// runs to completion is bit-identical to an uninterrupted run; the
+/// returned cache stats account only the resumed work.  `prior` must come
+/// from a sweep of the same model, specs and valuations (the grid shapes
+/// are asserted).
+#[allow(clippy::too_many_arguments)]
 pub fn check_over_sweep_cancellable(
     model: &SystemModel,
     specs: &[Spec],
@@ -446,6 +380,7 @@ pub fn check_over_sweep_cancellable(
     threads: usize,
     cancel: &CancelToken,
     budget: JobBudget,
+    prior: Option<&[SweepReport]>,
 ) -> (Vec<SweepReport>, GraphCacheStats) {
     let signals = JobSignals::new(cancel.clone(), budget);
     sweep_impl(
@@ -455,45 +390,13 @@ pub fn check_over_sweep_cancellable(
         options,
         threads,
         Some(&signals),
-        None,
+        prior,
     )
 }
 
-/// Resumes an interrupted sweep from its reports: completed cells of
-/// `prior` are carried over verbatim (outcome, duration and all), their
-/// violations keep cancelling later cells of the same query, and only
-/// interrupted, failed and skipped-by-violation cells are recomputed or
-/// re-derived.  Cells are deterministic and recomputed whole, so a resumed
-/// sweep that runs to completion is bit-identical to an uninterrupted
-/// [`check_over_sweep_cancellable`] run; the returned cache stats account
-/// only the resumed work.  `prior` must come from a sweep of the same
-/// model, specs and valuations (the grid shapes are asserted).
-#[allow(clippy::too_many_arguments)]
-pub fn resume_sweep(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-    threads: usize,
-    cancel: &CancelToken,
-    budget: JobBudget,
-    prior: &[SweepReport],
-) -> (Vec<SweepReport>, GraphCacheStats) {
-    let signals = JobSignals::new(cancel.clone(), budget);
-    sweep_impl(
-        model,
-        specs,
-        valuations,
-        options,
-        threads,
-        Some(&signals),
-        Some(prior),
-    )
-}
-
-/// The shared sweep driver behind the plain, cancellable and resuming entry
-/// points: forms the grid, prefills it from a resumed run, dispatches the
-/// schedulers and assembles the deterministic reports.
+/// The shared sweep driver behind both entry points: forms the grid,
+/// prefills it from a resumed run, runs the scheduler and assembles the
+/// deterministic reports.
 fn sweep_impl(
     model: &SystemModel,
     specs: &[Spec],
@@ -510,21 +413,18 @@ fn sweep_impl(
     let width = systems.len();
     let total = specs.len() * width;
     let budget = threads.max(1);
-    let use_cache = resolved_graph_cache(&options);
-    // the work items are whole valuations with the graph cache (their
-    // spec slices share cached graphs), single grid cells otherwise; each
-    // check gets the budget left over after covering the items, unless
-    // the caller pinned an in-check worker count explicitly.  The cached
-    // scheduler walks its items on one thread (see the module docs)
-    let items = if use_cache { width } else { total };
-    let outer = budget.min(items.max(1));
+    // the work items are whole valuations (their spec slices share cached
+    // graphs), walked on one thread (see the module docs); each check gets
+    // the budget left over after covering the items, unless the caller
+    // pinned an in-check worker count explicitly
+    let outer = budget.min(width.max(1));
     let cell_options = if options.workers == 0 {
-        options.with_workers((budget / outer.max(1)).max(1))
+        options.with_workers(budget / outer)
     } else {
         options
     };
 
-    // one slot per (spec, valuation) cell, filled by the workers
+    // one slot per (spec, valuation) cell, filled by the scheduler
     let mut slots: Vec<Option<SweepOutcome>> = Vec::new();
     slots.resize_with(total, || None);
 
@@ -535,13 +435,13 @@ fn sweep_impl(
         assert_eq!(
             prior.len(),
             specs.len(),
-            "resume_sweep: prior reports do not match the spec slice"
+            "check_over_sweep_cancellable: prior reports do not match the spec slice"
         );
         for (s, report) in prior.iter().enumerate() {
             assert_eq!(
                 report.outcomes.len(),
                 width,
-                "resume_sweep: prior grid width does not match the valuations"
+                "check_over_sweep_cancellable: prior grid width does not match the valuations"
             );
             for (v, cell) in report.outcomes.iter().enumerate() {
                 if cell.disposition == CellDisposition::Completed {
@@ -564,85 +464,20 @@ fn sweep_impl(
         })
         .collect();
 
-    // cache accounting in valuation order; empty with the cache off
-    let mut stats = GraphCacheStats::default();
-    if use_cache {
-        stats = run_cached_batches(
-            specs,
-            &systems,
-            cell_options,
-            job,
-            &violated_seed,
-            &mut slots,
-        );
-    } else if outer <= 1 || total <= 1 {
-        // sequential fast path: one pool for the whole grid, skip a query's
-        // remaining valuations after a violation, like the parallel
-        // scheduler below
-        let pool = WorkerPool::new(resolved_workers(&cell_options));
-        let mut violated_at = violated_seed.clone();
-        'grid: for (s, spec) in specs.iter().enumerate() {
-            for (v, sys) in systems.iter().enumerate() {
-                if violated_at[s] < v || slots[s * width + v].is_some() {
-                    continue; // an earlier valuation violated, or resumed
-                }
-                if job.is_some_and(|j| j.fast_stop().is_some()) {
-                    break 'grid;
-                }
-                let cell = run_one(sys, spec, cell_options, &pool, job);
-                if cell.outcome.status == CheckStatus::Violated {
-                    violated_at[s] = violated_at[s].min(v);
-                }
-                slots[s * width + v] = Some(cell);
-            }
-        }
-    } else {
-        // a lock-free work queue over the grid; `violated_at[s]` records the
-        // smallest violating valuation index of query `s` so far, letting
-        // workers cancel cells that a sequential sweep would never reach.
-        // Each sweep worker owns one persistent in-check pool, shared
-        // across every grid cell it processes.
-        let next = AtomicUsize::new(0);
-        let cell_workers = resolved_workers(&cell_options);
-        let violated_at: Vec<AtomicUsize> =
-            violated_seed.iter().map(|&v| AtomicUsize::new(v)).collect();
-        let slot_refs: Vec<Mutex<&mut Option<SweepOutcome>>> =
-            slots.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| {
-                    let pool = WorkerPool::new(cell_workers);
-                    loop {
-                        if job.is_some_and(|j| j.fast_stop().is_some()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let (s, v) = (i / width, i % width);
-                        if v > violated_at[s].load(Ordering::Acquire) {
-                            continue; // cancelled: an earlier valuation violated
-                        }
-                        if slot_refs[i].lock().unwrap().is_some() {
-                            continue; // carried over from the resumed run
-                        }
-                        let cell = run_one(&systems[v], &specs[s], cell_options, &pool, job);
-                        if cell.outcome.status == CheckStatus::Violated {
-                            violated_at[s].fetch_min(v, Ordering::AcqRel);
-                        }
-                        **slot_refs[i].lock().unwrap() = Some(cell);
-                    }
-                });
-            }
-        });
-    }
+    let stats = run_cached_batches(
+        specs,
+        &systems,
+        cell_options,
+        job,
+        &violated_seed,
+        &mut slots,
+    );
 
     // deterministic assembly: valuation order; every cell past the query's
-    // first violation becomes an explicit skipped record, even if a parallel
-    // worker happened to compute it before the cancellation landed, and
-    // every cell a job signal stopped the schedulers from reaching becomes
-    // an explicit interrupted record
+    // first violation becomes an explicit skipped record, even if a prior
+    // run completed it before a resumed cell violated, and every cell a job
+    // signal stopped the scheduler from reaching becomes an explicit
+    // interrupted record
     let trip = job.and_then(|j| j.fast_stop());
     let reports = specs
         .iter()
@@ -682,12 +517,11 @@ fn sweep_impl(
     (reports, stats)
 }
 
-/// The graph-cached scheduler: each work item is one valuation, whose whole
-/// spec slice runs on one [`ExplicitChecker`] so the obligations of a start
+/// The sweep scheduler: each work item is one valuation, whose whole spec
+/// slice runs on one [`ExplicitChecker`] so the obligations of a start
 /// restriction share one cached reachability graph.  Specs already violated
 /// at an earlier valuation are left unchecked (the assembly marks them
-/// skipped), exactly like the per-cell scheduler.  Returns the cache
-/// accounting, merged in valuation order.
+/// skipped).  Returns the cache accounting, merged in valuation order.
 ///
 /// The valuations are walked in order on the calling thread, with one
 /// in-check pool and one [`GraphLineage`] for the whole grid, so every
@@ -752,6 +586,16 @@ mod tests {
         ]
     }
 
+    /// A sweep at the budget `CC_SWEEP_THREADS` (or the host) resolves to.
+    fn sweep(
+        model: &SystemModel,
+        specs: &[Spec],
+        valuations: &[ParamValuation],
+        options: CheckerOptions,
+    ) -> Vec<SweepReport> {
+        check_over_sweep_with_stats(model, specs, valuations, options, sweep_thread_budget(0)).0
+    }
+
     #[test]
     fn sweep_aggregates_multiple_valuations() {
         let model = fixtures::voting_model().single_round().unwrap();
@@ -767,7 +611,7 @@ mod tests {
                 forbidden: LocSet::from_names(&model, "E0", &["E0"]),
             },
         ];
-        let reports = check_over_sweep(
+        let reports = sweep(
             &model,
             &specs,
             &sweep_valuations(),
@@ -795,7 +639,6 @@ mod tests {
         assert_eq!(violated.skipped_cells(), 1);
         assert!(violated.outcomes[0].outcome.is_violated());
         assert_eq!(violated.outcomes[0].disposition, CellDisposition::Completed);
-        assert!(violated.outcomes[1].skipped);
         assert_eq!(violated.outcomes[1].disposition, CellDisposition::Skipped);
         assert_eq!(violated.outcomes[1].outcome.states_explored, 0);
         assert!(violated.first_violation().is_some());
@@ -821,37 +664,21 @@ mod tests {
                 start: StartRestriction::RoundStart,
             },
         ];
-        let parallel = check_over_sweep_with_threads(
+        let (parallel, _) = check_over_sweep_with_stats(
             &model,
             &specs,
             &sweep_valuations(),
             CheckerOptions::default(),
             4,
         );
-        let sequential = check_over_sweep_with_threads(
+        let (sequential, _) = check_over_sweep_with_stats(
             &model,
             &specs,
             &sweep_valuations(),
             CheckerOptions::default(),
             1,
         );
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.spec_name, s.spec_name);
-            assert_eq!(p.status(), s.status());
-            assert_eq!(p.outcomes.len(), s.outcomes.len());
-            for (po, so) in p.outcomes.iter().zip(&s.outcomes) {
-                assert_eq!(po.params, so.params);
-                assert_eq!(po.skipped, so.skipped);
-                assert_eq!(po.disposition, so.disposition);
-                assert_eq!(po.outcome.status, so.outcome.status);
-                assert_eq!(po.outcome.states_explored, so.outcome.states_explored);
-                assert_eq!(
-                    po.outcome.transitions_explored,
-                    so.outcome.transitions_explored
-                );
-            }
-        }
+        assert_reports_identical(&parallel, &sequential, "budget 4 vs 1");
     }
 
     #[test]
@@ -865,14 +692,9 @@ mod tests {
             forbidden: LocSet::from_names(&model, "I1", &["I1"]),
         }];
         let valuations = [ParamValuation::new(vec![5, 1, 1, 1])];
-        let wide = check_over_sweep_with_threads(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::default(),
-            4,
-        );
-        let sequential = check_over_sweep_with_threads(
+        let (wide, _) =
+            check_over_sweep_with_stats(&model, &specs, &valuations, CheckerOptions::default(), 4);
+        let (sequential, _) = check_over_sweep_with_stats(
             &model,
             &specs,
             &valuations,
@@ -913,15 +735,11 @@ mod tests {
             CheckerOptions::default(),
             // wave-pooled path: pooled workers with single-node waves
             CheckerOptions::default().with_workers(2).with_wave_size(1),
-            // both sides of the incremental-sweep knob: the lineage must
-            // never change which cells are completed vs skipped
-            CheckerOptions::default().with_incremental_sweep(true),
-            CheckerOptions::default().with_incremental_sweep(false),
         ];
         for options in option_sets {
             for threads in [1, 2, 8] {
-                let reports =
-                    check_over_sweep_with_threads(&model, &specs, &valuations, options, threads);
+                let (reports, _) =
+                    check_over_sweep_with_stats(&model, &specs, &valuations, options, threads);
                 assert_eq!(reports.len(), specs.len());
                 for report in &reports {
                     let completed = report
@@ -964,6 +782,7 @@ mod tests {
             2,
             &cancel,
             JobBudget::unlimited(),
+            None,
         );
         for report in &cancelled {
             assert_eq!(report.outcomes.len(), grid_width);
@@ -978,14 +797,13 @@ mod tests {
             assert_eq!(report.status(), CheckStatus::Unknown);
             for cell in &report.outcomes {
                 assert!(cell.outcome.is_interrupted());
-                assert!(!cell.skipped);
             }
         }
 
         // resuming the fully-interrupted sweep completes it, bit-identical
         // to an uninterrupted cancellable run — which in turn matches the
         // plain sweep
-        let (resumed, _) = resume_sweep(
+        let (resumed, _) = check_over_sweep_cancellable(
             &model,
             &specs,
             &valuations,
@@ -993,7 +811,7 @@ mod tests {
             2,
             &CancelToken::new(),
             JobBudget::unlimited(),
-            &cancelled,
+            Some(&cancelled),
         );
         let (reference, _) = check_over_sweep_cancellable(
             &model,
@@ -1003,22 +821,18 @@ mod tests {
             1,
             &CancelToken::new(),
             JobBudget::unlimited(),
+            None,
         );
         assert_reports_identical(&resumed, &reference, "resumed vs uninterrupted");
-        let plain = check_over_sweep_with_threads(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::default(),
-            1,
-        );
+        let (plain, _) =
+            check_over_sweep_with_stats(&model, &specs, &valuations, CheckerOptions::default(), 1);
         assert_reports_identical(&reference, &plain, "cancellable vs plain");
     }
 
     #[test]
     fn cached_and_uncached_sweeps_agree() {
-        // the batched graph-cache scheduler and the per-cell scheduler must
-        // produce reports of identical shape and verdict at every budget
+        // every cell the cached sweep checks must carry the verdict of the
+        // per-spec path on its own checker, at every budget
         let model = fixtures::voting_model().single_round().unwrap();
         let specs = vec![
             Spec::NeverFrom {
@@ -1041,34 +855,47 @@ mod tests {
                 &model,
                 &specs,
                 &sweep_valuations(),
-                CheckerOptions::default().with_graph_cache(true),
-                threads,
-            );
-            let (uncached, no_stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &sweep_valuations(),
-                CheckerOptions::default().with_graph_cache(false),
+                CheckerOptions::default(),
                 threads,
             );
             assert!(stats.graphs_built() > 0);
             // 3 specs x 2 admissible valuations, minus the cell skipped
-            // after the first violation: the cached scheduler walks the
-            // grid in order, so it never computes a skipped cell
+            // after the first violation: the sweep walks the grid in
+            // order, so it never computes a skipped cell
             let checked = stats.specs_served() + stats.uncached_specs;
             assert_eq!(checked, 5);
-            assert_eq!(no_stats.graphs_built(), 0);
-            for (c, u) in cached.iter().zip(&uncached) {
-                assert_eq!(c.spec_name, u.spec_name);
-                assert_eq!(c.status(), u.status(), "{} at {threads}", c.spec_name);
-                assert_eq!(c.outcomes.len(), u.outcomes.len());
-                for (co, uo) in c.outcomes.iter().zip(&u.outcomes) {
-                    assert_eq!(co.params, uo.params);
-                    assert_eq!(co.skipped, uo.skipped, "{}", c.spec_name);
-                    assert_eq!(co.disposition, uo.disposition, "{}", c.spec_name);
-                    assert_eq!(co.outcome.status, uo.outcome.status, "{}", c.spec_name);
+            for (spec, report) in specs.iter().zip(&cached) {
+                assert_eq!(report.outcomes.len(), 2);
+                for cell in &report.outcomes {
+                    if cell.disposition == CellDisposition::Skipped {
+                        continue;
+                    }
+                    let sys = CounterSystem::new(model.clone(), cell.params.clone()).unwrap();
+                    let direct = ExplicitChecker::new(&sys).check(spec);
+                    assert_eq!(
+                        cell.outcome.status, direct.status,
+                        "{} at {} with budget {threads}",
+                        report.spec_name, cell.params
+                    );
                 }
             }
+        }
+    }
+
+    /// Deep equality of two check outcomes: status, counts, detail and
+    /// counterexample schedule, step for step.
+    fn assert_outcomes_identical(a: &CheckOutcome, b: &CheckOutcome, cell: &str) {
+        assert_eq!(a.status, b.status, "{cell}");
+        assert_eq!(a.states_explored, b.states_explored, "{cell}");
+        assert_eq!(a.transitions_explored, b.transitions_explored, "{cell}");
+        assert_eq!(a.detail, b.detail, "{cell}");
+        match (&a.counterexample, &b.counterexample) {
+            (None, None) => {}
+            (Some(ca), Some(cb)) => {
+                assert_eq!(ca.initial, cb.initial, "{cell}");
+                assert_eq!(ca.schedule.steps(), cb.schedule.steps(), "{cell}");
+            }
+            _ => panic!("counterexample presence differs: {cell}"),
         }
     }
 
@@ -1083,26 +910,8 @@ mod tests {
             for (oa, ob) in ra.outcomes.iter().zip(&rb.outcomes) {
                 let cell = format!("{ctx}: {} at {}", ra.spec_name, oa.params);
                 assert_eq!(oa.params, ob.params, "{cell}");
-                assert_eq!(oa.skipped, ob.skipped, "{cell}");
                 assert_eq!(oa.disposition, ob.disposition, "{cell}");
-                assert_eq!(oa.outcome.status, ob.outcome.status, "{cell}");
-                assert_eq!(
-                    oa.outcome.states_explored, ob.outcome.states_explored,
-                    "{cell}"
-                );
-                assert_eq!(
-                    oa.outcome.transitions_explored, ob.outcome.transitions_explored,
-                    "{cell}"
-                );
-                assert_eq!(oa.outcome.detail, ob.outcome.detail, "{cell}");
-                match (&oa.outcome.counterexample, &ob.outcome.counterexample) {
-                    (None, None) => {}
-                    (Some(ca), Some(cb)) => {
-                        assert_eq!(ca.initial, cb.initial, "{cell}");
-                        assert_eq!(ca.schedule.steps(), cb.schedule.steps(), "{cell}");
-                    }
-                    _ => panic!("counterexample presence differs: {cell}"),
-                }
+                assert_outcomes_identical(&oa.outcome, &ob.outcome, &cell);
             }
         }
     }
@@ -1141,6 +950,16 @@ mod tests {
                 start: StartRestriction::RoundStart,
             },
         ];
+        // the oracle: a fresh checker per valuation has no lineage and no
+        // repeat queries, so it stands in for reuse, extension, prune and
+        // memo at once
+        let fresh: Vec<Vec<CheckOutcome>> = valuations
+            .iter()
+            .map(|v| {
+                let sys = CounterSystem::new(model.clone(), v.clone()).unwrap();
+                ExplicitChecker::new(&sys).check_all(&specs)
+            })
+            .collect();
         // the group records of the budget-1 run: lineage is a function of
         // the grid, so every budget must classify and size every group
         // exactly alike
@@ -1150,23 +969,18 @@ mod tests {
                 &model,
                 &specs,
                 &valuations,
-                CheckerOptions::default()
-                    .with_graph_cache(true)
-                    .with_incremental_sweep(true),
+                CheckerOptions::default(),
                 threads,
             );
-            let (fresh, fresh_stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                CheckerOptions::default()
-                    .with_graph_cache(true)
-                    .with_incremental_sweep(false),
-                threads,
-            );
-            assert_reports_identical(&incremental, &fresh, &format!("threads {threads}"));
-            assert_eq!(fresh_stats.reused_groups(), 0);
-            assert_eq!(fresh_stats.extended_groups(), 0);
+            for (s, report) in incremental.iter().enumerate() {
+                for (v, cell) in report.outcomes.iter().enumerate() {
+                    if cell.disposition != CellDisposition::Skipped {
+                        let ctx =
+                            format!("{} at {} budget {threads}", report.spec_name, cell.params);
+                        assert_outcomes_identical(&cell.outcome, &fresh[v][s], &ctx);
+                    }
+                }
+            }
             // one lineage walks the whole grid in valuation order at every
             // budget, so every classification fires at least once
             assert!(inc_stats.reused_groups() > 0, "{inc_stats}");
@@ -1210,7 +1024,7 @@ mod tests {
             start: StartRestriction::Unanimous(BinValue::Zero),
             forbidden: LocSet::from_names(&model, "I1", &["I1"]),
         }];
-        let reports = check_over_sweep(
+        let reports = sweep(
             &model,
             &specs,
             &[ParamValuation::new(vec![4, 1, 1, 1])],

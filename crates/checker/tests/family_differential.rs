@@ -12,9 +12,10 @@
 //! * **Cached ≡ uncached** — the reachability-graph cache at 1, 2 and 4
 //!   workers agrees with the per-spec path, and every cached
 //!   counterexample replays to a genuine violation.
-//! * **Incremental ≡ fresh** — the guard-adjacent sweep grid the generator
-//!   attaches to resilience-2 families is bit-identical incrementally and
-//!   from scratch, at 1, 2 and 4 workers.
+//! * **Incremental ≡ fresh** — every checked cell of the guard-adjacent
+//!   sweep grid the generator attaches to resilience-2 families is
+//!   bit-identical to a fresh `check_all` at its valuation, at 1, 2 and 4
+//!   workers.
 //! * **Simulator cross-check** — `ccsim::bridge` executes each family as
 //!   individual automaton copies with independently evaluated guards:
 //!   seeded fair and adversarial runs must never witness a violation of an
@@ -26,7 +27,9 @@
 //! family can be rebuilt deterministically.
 
 use ccchecker::reference::reference_check;
-use ccchecker::{CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec};
+use ccchecker::{
+    CellDisposition, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec,
+};
 use cccounter::{Configuration, CounterSystem};
 use ccprotocols::family::{FamilyParams, FaultModel, GeneratedFamily};
 use ccsim::bridge::{replay_schedule, simulate, SimPolicy};
@@ -190,16 +193,17 @@ fn generated_families_cached_catalogue_matches_uncached() {
     for (ctx, fam) in corpus() {
         let sys = counter_system(&fam);
         let specs = specs_of(&fam);
-        let uncached =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false))
-                .check_all(&specs);
+        // the per-spec path, one exploration per obligation, is the
+        // cache's independent oracle
+        let per_spec = ExplicitChecker::new(&sys);
+        let uncached: Vec<_> = specs.iter().map(|s| per_spec.check(s)).collect();
         for workers in [1, 2, 4] {
             // wave size 1 lowers the parallel-entry threshold so pooled
             // runs genuinely exercise the parallel cache build
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default().with_graph_cache(true)
+                ..CheckerOptions::default()
             };
             let (cached, stats) =
                 ExplicitChecker::with_options(&sys, options).check_all_with_stats(&specs);
@@ -247,51 +251,51 @@ fn generated_families_incremental_sweep_matches_fresh() {
         }
         swept += 1;
         let specs = specs_of(&fam);
+        // a fresh checker per valuation has no lineage and no repeat
+        // queries: the oracle for reuse, extension, prune and memo at once
+        let fresh: Vec<Vec<CheckOutcome>> = fam
+            .sweep
+            .iter()
+            .map(|v| {
+                let sys = CounterSystem::new(fam.single_round.clone(), v.clone())
+                    .expect("admissible sweep valuation");
+                ExplicitChecker::new(&sys).check_all(&specs)
+            })
+            .collect();
         for workers in [1, 2, 4] {
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
                 ..CheckerOptions::default()
-            }
-            .with_graph_cache(true);
-            let (incremental, stats) = check_over_sweep_with_stats(
-                &fam.single_round,
-                &specs,
-                &fam.sweep,
-                options.with_incremental_sweep(true),
-                1,
-            );
-            let (fresh, _) = check_over_sweep_with_stats(
-                &fam.single_round,
-                &specs,
-                &fam.sweep,
-                options.with_incremental_sweep(false),
-                1,
-            );
+            };
+            let (incremental, stats) =
+                check_over_sweep_with_stats(&fam.single_round, &specs, &fam.sweep, options, 1);
             if workers == 1 {
                 reused += stats.reused_groups();
                 extended += stats.extended_groups();
             }
-            for (ri, rf) in incremental.iter().zip(&fresh) {
+            for (s, report) in incremental.iter().enumerate() {
                 let where_ = format!(
                     "{ctx} (seed {:#x}), {} at {workers} workers",
-                    fam.seed, ri.spec_name
+                    fam.seed, report.spec_name
                 );
-                assert_eq!(ri.status(), rf.status(), "sweep status differs: {where_}");
-                assert_eq!(ri.outcomes.len(), rf.outcomes.len(), "{where_}");
-                for (oi, of) in ri.outcomes.iter().zip(&rf.outcomes) {
-                    let cell = format!("{where_} at {}", oi.params);
-                    assert_eq!(oi.params, of.params, "{cell}");
-                    assert_eq!(oi.outcome.status, of.outcome.status, "{cell}");
+                assert_eq!(report.outcomes.len(), fam.sweep.len(), "{where_}");
+                for (v, cell) in report.outcomes.iter().enumerate() {
+                    if cell.disposition == CellDisposition::Skipped {
+                        continue;
+                    }
+                    let (oi, of) = (&cell.outcome, &fresh[v][s]);
+                    let cell = format!("{where_} at {}", cell.params);
+                    assert_eq!(oi.status, of.status, "{cell}");
                     assert_eq!(
-                        oi.outcome.states_explored, of.outcome.states_explored,
+                        oi.states_explored, of.states_explored,
                         "state count differs: {cell}"
                     );
                     assert_eq!(
-                        oi.outcome.transitions_explored, of.outcome.transitions_explored,
+                        oi.transitions_explored, of.transitions_explored,
                         "transition count differs: {cell}"
                     );
-                    match (&oi.outcome.counterexample, &of.outcome.counterexample) {
+                    match (&oi.counterexample, &of.counterexample) {
                         (None, None) => {}
                         (Some(ci), Some(cf)) => {
                             assert_eq!(ci.initial, cf.initial, "initial differs: {cell}");
@@ -374,9 +378,7 @@ fn generated_family_sweeps_are_budget_independent() {
                 &fam.single_round,
                 &specs,
                 &fam.sweep,
-                CheckerOptions::default()
-                    .with_graph_cache(true)
-                    .with_incremental_sweep(true),
+                CheckerOptions::default(),
                 threads,
             )
         };

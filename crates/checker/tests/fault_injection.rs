@@ -14,9 +14,9 @@
 
 use ccchecker::fixtures;
 use ccchecker::{
-    check_over_sweep_cancellable, check_over_sweep_with_stats, fault, resume_sweep, CancelToken,
-    CellDisposition, CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker,
-    InterruptKind, JobBudget, JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
+    check_over_sweep_cancellable, check_over_sweep_with_stats, fault, CancelToken, CellDisposition,
+    CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, InterruptKind, JobBudget,
+    JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
 };
 use cccounter::CounterSystem;
 use ccta::{BinValue, ParamValuation, SystemModel};
@@ -86,7 +86,6 @@ fn assert_reports_identical(a: &[SweepReport], b: &[SweepReport], ctx: &str) {
         for (oa, ob) in ra.outcomes.iter().zip(&rb.outcomes) {
             let cell = format!("{ctx}: {} at {}", ra.spec_name, oa.params);
             assert_eq!(oa.params, ob.params, "{cell}");
-            assert_eq!(oa.skipped, ob.skipped, "{cell}");
             assert_eq!(oa.disposition, ob.disposition, "{cell}");
             assert_outcomes_identical(&oa.outcome, &ob.outcome, &cell);
         }
@@ -134,12 +133,9 @@ fn injected_lane_panic_heals_on_the_retry_path() {
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
     // pooled cells (2 lanes, single-node waves) so the injected panic fires
-    // inside a worker lane's expand phase; the lineage is off so the only
-    // recovery path under test is the fresh-rebuild retry
-    let options = CheckerOptions::default()
-        .with_workers(2)
-        .with_wave_size(1)
-        .with_incremental_sweep(false);
+    // inside a worker lane's expand phase; the recovery path under test is
+    // the retry on a fresh pool and a fresh lineage-free checker
+    let options = CheckerOptions::default().with_workers(2).with_wave_size(1);
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
     let _disarm = Disarm;
@@ -160,9 +156,10 @@ fn persistent_cell_panic_fails_only_that_cell() {
     let model = model();
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
-    // per-cell scheduling (cache off), sequential, so the first dispatched
-    // cell is deterministic: specs[0] on valuations[0]
-    let options = CheckerOptions::default().with_graph_cache(false);
+    // the sweep walks valuations in order and each valuation's specs in
+    // catalogue order, so the first dispatched cell is deterministic:
+    // specs[0] on valuations[0]
+    let options = CheckerOptions::default();
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
     // two shots: the first cell panics on the shared pool *and* on its
@@ -210,9 +207,9 @@ fn single_shot_cell_panic_is_invisible_after_retry() {
     let model = model();
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
-    // cached batched scheduling: the retried cell must rebuild its graph on
-    // a fresh lineage-free checker and still report identical results
-    let options = CheckerOptions::default().with_incremental_sweep(false);
+    // the retried cell must rebuild its graph on a fresh lineage-free
+    // checker and still report identical results
+    let options = CheckerOptions::default();
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
     let _disarm = Disarm;
@@ -265,9 +262,9 @@ fn resident_byte_cap_trips_like_an_oom_and_resumes() {
     let model = model();
     let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
     let specs = catalogue(&model);
-    // the cache is pinned on (overriding `CC_GRAPH_CACHE`): the suspended
-    // mid-wave build this test asserts on only exists on the cached path
-    let options = CheckerOptions::default().with_graph_cache(true);
+    // the suspended mid-wave build this test asserts on is the graph
+    // cache's first build
+    let options = CheckerOptions::default();
     let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
     // a one-byte resident cap is the injected OOM: the first wave boundary
@@ -406,6 +403,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         2,
         &CancelToken::new(),
         JobBudget::unlimited().with_deadline(Duration::ZERO),
+        None,
     );
     assert_grid_accounted(&tripped, valuations.len(), "deadline sweep");
     for report in &tripped {
@@ -422,7 +420,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
 
     // resuming with an open budget completes the grid, bit-identical to an
     // uninterrupted cancellable sweep at a different thread budget
-    let (resumed, _) = resume_sweep(
+    let (resumed, _) = check_over_sweep_cancellable(
         &model,
         &specs,
         &valuations,
@@ -430,7 +428,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         2,
         &CancelToken::new(),
         JobBudget::unlimited(),
-        &tripped,
+        Some(&tripped),
     );
     let (reference, _) = check_over_sweep_cancellable(
         &model,
@@ -440,6 +438,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         1,
         &CancelToken::new(),
         JobBudget::unlimited(),
+        None,
     );
     assert_grid_accounted(&resumed, valuations.len(), "resumed sweep");
     assert_reports_identical(&resumed, &reference, "resumed vs uninterrupted sweep");

@@ -6,7 +6,7 @@
 //! tracked location sets, generated by `ccprotocols::family`'s
 //! compatibility seed mode — the frozen RNG schedule of this suite's
 //! original private generator, so the corpus is bit-identical to what the
-//! suite always ran) and checks two contracts on each:
+//! suite always ran) and checks these contracts on each:
 //!
 //! * **Engine ≡ reference** — verdict, distinct-state count, transition
 //!   count, and (for violations) the counterexample schedule step for step,
@@ -20,6 +20,12 @@
 //!   1, 2 and 4 workers returns the same verdict as the per-spec path for
 //!   every obligation, and every cached counterexample replays to a
 //!   genuine violation of its spec.
+//! * **Incremental ≡ fresh** — a sweep over guard-adjacent valuations
+//!   (its graph lineage reusing, extending and pruning graphs, its verdict
+//!   memo serving repeat queries) returns, cell for cell, what a fresh
+//!   `check_all` returns at that valuation, at 1, 2 and 4 workers — also
+//!   when the steps run in the other order, so the memo serves a pruned
+//!   graph and a relax step extends it.
 //! * **Interrupted ≡ uninterrupted** — a `CheckJob` tripped by a state
 //!   budget at a random cap, checkpointed and resumed (repeatedly, with a
 //!   doubling cap) produces verdicts, counts and counterexample schedules
@@ -31,8 +37,8 @@
 
 use ccchecker::reference::reference_check;
 use ccchecker::{
-    check_over_sweep_with_stats, CheckJob, CheckStatus, CheckerOptions, ExplicitChecker, JobBudget,
-    JobOutcome, Spec,
+    check_over_sweep_with_stats, CellDisposition, CheckJob, CheckOutcome, CheckStatus,
+    CheckerOptions, ExplicitChecker, JobBudget, JobOutcome, Spec,
 };
 use cccounter::CounterSystem;
 use ccprotocols::family::{differential_family, differential_obligations_with};
@@ -198,16 +204,17 @@ fn random_systems_cached_catalogue_matches_uncached() {
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, sys.model(), &mids);
-        let uncached_checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false));
-        let uncached = uncached_checker.check_all(&specs);
+        // the per-spec path, one exploration per obligation, is the
+        // cache's independent oracle
+        let per_spec_checker = ExplicitChecker::new(&sys);
+        let uncached: Vec<_> = specs.iter().map(|s| per_spec_checker.check(s)).collect();
         for workers in [1, 2, 4] {
             // wave size 1 lowers the parallel-entry threshold so pooled
             // runs genuinely exercise the parallel cache build
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default().with_graph_cache(true)
+                ..CheckerOptions::default()
             };
             let checker = ExplicitChecker::with_options(&sys, options);
             let (cached, stats) = checker.check_all_with_stats(&specs);
@@ -232,22 +239,28 @@ fn random_systems_cached_catalogue_matches_uncached() {
     );
 }
 
-#[test]
-fn random_systems_incremental_sweep_matches_fresh() {
-    // Random guard-adjacent valuation steps: raising t with n fixed keeps
-    // the system size (n - f processes) and lowers the n - t - f quorum
-    // bounds, so the sweep [t=1, t=2, t=2, t=1] walks a relax step, an
-    // identical step and a tighten step through every random system.  The
-    // incremental sweep must be bit-identical to the from-scratch sweep —
-    // verdicts, state counts, transition counts and counterexample
-    // schedules — at 1, 2 and 4 in-check workers.
-    let (mut reused, mut extended, mut rebuilt, mut pruned) = (0usize, 0usize, 0usize, 0usize);
-    let mut memo_hits = 0usize;
-    let mut replayed = 0usize;
-    // the CI reruns exercise this suite with the levers forced off through
-    // the environment, which legitimately shifts the lineage distribution
-    let prune_on = std::env::var("CC_TIGHTEN_PRUNE").map_or(true, |v| v != "0");
-    let memo_on = std::env::var("CC_VERDICT_MEMO").map_or(true, |v| v != "0");
+/// Lineage and memo counters summed over a corpus of guard-adjacent sweeps
+/// (single-worker runs only, so each step is counted once).
+#[derive(Default)]
+struct SweepTally {
+    reused: usize,
+    extended: usize,
+    rebuilt: usize,
+    pruned: usize,
+    memo_hits: usize,
+    replayed: usize,
+}
+
+/// Sweeps every resilience-2 random system over the guard-adjacent grid
+/// that `grid` builds from the valuation pair `[t=1, t=2]` (n = 5 fixed),
+/// at 1, 2 and 4 in-check workers, and asserts every checked cell is
+/// bit-identical — verdict, state count, transition count, detail and
+/// counterexample schedule — to a fresh `check_all` at its valuation.  A
+/// fresh checker has no lineage and no repeat queries, so it is the oracle
+/// for reuse, extension, prune and verdict memo at once.  Every
+/// counterexample the sweep mints must replay to a genuine violation.
+fn sweep_against_fresh(grid: impl Fn(&[ParamValuation; 2]) -> Vec<ParamValuation>) -> SweepTally {
+    let mut tally = SweepTally::default();
     for i in 0..SYSTEMS {
         let seed = 0xD1F_F0000 + i as u64;
         let (sys, mids) = random_system(seed);
@@ -264,14 +277,16 @@ fn random_systems_incremental_sweep_matches_fresh() {
         if !pair.iter().all(|v| env.is_admissible(v)) {
             continue;
         }
-        let valuations = vec![
-            pair[0].clone(), // built
-            pair[1].clone(), // quorum drops: relax-only extension
-            pair[1].clone(), // identical bounds: pure reuse
-            pair[0].clone(), // quorum rises: tighten, rebuild
-        ];
+        let valuations = grid(&pair);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, &model, &mids);
+        let fresh: Vec<Vec<CheckOutcome>> = valuations
+            .iter()
+            .map(|v| {
+                let cell_sys = CounterSystem::new(model.clone(), v.clone()).expect("admissible");
+                ExplicitChecker::new(&cell_sys).check_all(&specs)
+            })
+            .collect();
         for workers in [1, 2, 4] {
             // wave size 1 lowers the parallel-entry threshold so pooled
             // runs genuinely exercise the parallel extension path
@@ -280,211 +295,109 @@ fn random_systems_incremental_sweep_matches_fresh() {
                 wave_size: if workers > 1 { 1 } else { 0 },
                 ..CheckerOptions::default()
             };
-            let (incremental, stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                options.with_graph_cache(true).with_incremental_sweep(true),
-                1,
-            );
-            let (fresh, _) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                options.with_graph_cache(true).with_incremental_sweep(false),
-                1,
-            );
+            let (swept, stats) =
+                check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
             if workers == 1 {
-                reused += stats.reused_groups();
-                extended += stats.extended_groups();
-                rebuilt += stats.rebuilt_groups();
-                pruned += stats.pruned_groups();
-                memo_hits += stats.memo_hits();
+                tally.reused += stats.reused_groups();
+                tally.extended += stats.extended_groups();
+                tally.rebuilt += stats.rebuilt_groups();
+                tally.pruned += stats.pruned_groups();
+                tally.memo_hits += stats.memo_hits();
             }
-            for (ri, rf) in incremental.iter().zip(&fresh) {
-                let ctx = format!("seed {seed}, {} at {workers} workers", ri.spec_name);
-                assert_eq!(ri.status(), rf.status(), "sweep status differs: {ctx}");
-                assert_eq!(ri.outcomes.len(), rf.outcomes.len(), "{ctx}");
-                for (oi, of) in ri.outcomes.iter().zip(&rf.outcomes) {
-                    let cell = format!("{ctx} at {}", oi.params);
-                    assert_eq!(oi.params, of.params, "{cell}");
-                    assert_eq!(oi.skipped, of.skipped, "{cell}");
-                    assert_eq!(oi.outcome.status, of.outcome.status, "{cell}");
-                    assert_eq!(
-                        oi.outcome.states_explored, of.outcome.states_explored,
-                        "state count differs: {cell}"
-                    );
-                    assert_eq!(
-                        oi.outcome.transitions_explored, of.outcome.transitions_explored,
-                        "transition count differs: {cell}"
-                    );
-                    match (&oi.outcome.counterexample, &of.outcome.counterexample) {
-                        (None, None) => {}
-                        (Some(ci), Some(cf)) => {
-                            assert_eq!(ci.initial, cf.initial, "initial differs: {cell}");
-                            assert_eq!(
-                                ci.schedule.steps(),
-                                cf.schedule.steps(),
-                                "schedule differs: {cell}"
-                            );
-                            // the incremental counterexample is a genuine
-                            // execution violating its spec
-                            let spec = specs
-                                .iter()
-                                .find(|s| s.name() == ri.spec_name)
-                                .expect("report spec");
-                            let cell_sys = CounterSystem::new(model.clone(), ci.params.clone())
-                                .expect("admissible");
-                            assert_genuine_violation(&cell_sys, spec, ci, &cell);
-                            replayed += 1;
-                        }
-                        _ => panic!("counterexample presence differs: {cell}"),
+            for (spec_idx, (spec, report)) in specs.iter().zip(&swept).enumerate() {
+                let ctx = format!("seed {seed}, {} at {workers} workers", report.spec_name);
+                assert_eq!(report.outcomes.len(), valuations.len(), "{ctx}");
+                for (v, cell) in report.outcomes.iter().enumerate() {
+                    if cell.disposition == CellDisposition::Skipped {
+                        continue;
+                    }
+                    let oracle = &fresh[v][spec_idx];
+                    let cell_ctx = format!("{ctx} at {}", cell.params);
+                    assert_eq!(cell.params, valuations[v], "{cell_ctx}");
+                    assert_outcomes_identical(&cell.outcome, oracle, &cell_ctx);
+                    if let Some(ce) = &cell.outcome.counterexample {
+                        let cell_sys = CounterSystem::new(model.clone(), ce.params.clone())
+                            .expect("admissible");
+                        assert_genuine_violation(&cell_sys, spec, ce, &cell_ctx);
+                        tally.replayed += 1;
                     }
                 }
             }
         }
     }
-    // the corpus must actually walk every lineage classification and
-    // replay at least one incremental counterexample
-    assert!(reused > 0, "no identical step was reused");
-    assert!(extended > 0, "no relax-only step was extended");
-    if prune_on {
-        // the n-fixed grid never changes the system size, so every tighten
-        // step must take the in-place prune, never a rebuild
-        assert!(pruned > 0, "no tighten step was pruned in place");
-        assert_eq!(
-            rebuilt, 0,
-            "a guard-adjacent tighten step fell back to a rebuild"
-        );
-    } else {
-        assert!(rebuilt > 0, "no tighten step was rebuilt");
-    }
-    if memo_on {
-        assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
-    }
-    assert!(replayed > 0, "no incremental counterexample was replayed");
+    tally
+}
+
+#[test]
+fn random_systems_incremental_sweep_matches_fresh() {
+    // Random guard-adjacent valuation steps: raising t with n fixed keeps
+    // the system size (n - f processes) and lowers the n - t - f quorum
+    // bounds, so the sweep [t=1, t=2, t=2, t=1] walks a relax step, an
+    // identical step and a tighten step through every random system.
+    let tally = sweep_against_fresh(|[lo, hi]| {
+        vec![
+            lo.clone(), // built
+            hi.clone(), // quorum drops: relax-only extension
+            hi.clone(), // identical bounds: pure reuse + memo hits
+            lo.clone(), // quorum rises: tighten, in-place prune
+        ]
+    });
+    // the corpus must actually walk every lineage classification, hit the
+    // memo and replay at least one incremental counterexample
+    assert!(tally.reused > 0, "no identical step was reused");
+    assert!(tally.extended > 0, "no relax-only step was extended");
+    // the n-fixed grid never changes the system size, so every tighten
+    // step must take the in-place prune, never a rebuild
+    assert!(tally.pruned > 0, "no tighten step was pruned in place");
+    assert_eq!(
+        tally.rebuilt, 0,
+        "a guard-adjacent tighten step fell back to a rebuild"
+    );
+    assert!(
+        tally.memo_hits > 0,
+        "no identical step ever hit the verdict memo"
+    );
+    assert!(
+        tally.replayed > 0,
+        "no incremental counterexample was replayed"
+    );
 }
 
 #[test]
 fn random_systems_sweep_levers_are_verdict_invariant() {
-    // The memoization/compaction levers are pure performance knobs: over
-    // the same guard-adjacent grid as the incremental≡fresh axis, a sweep
-    // with verdict memoization disabled and a sweep with the tighten-only
-    // prune disabled must each be bit-identical — verdicts, state counts,
-    // transition counts and counterexample schedules — to the sweep with
-    // both levers on, at 1, 2 and 4 in-check workers.  The lever-on runs
-    // must genuinely exercise both levers (≥1 pruned step, ≥1 memo hit),
-    // and every counterexample minted from a pruned or memoized graph must
-    // replay strictly.
-    let (mut pruned, mut memo_hits) = (0usize, 0usize);
-    let mut replayed = 0usize;
-    for i in 0..SYSTEMS {
-        let seed = 0xD1F_F0000 + i as u64;
-        let (sys, mids) = random_system(seed);
-        let model = sys.model().clone();
-        let env = model.env();
-        let pair = [
-            ParamValuation::new(vec![5, 1, 1, 1]),
-            ParamValuation::new(vec![5, 2, 1, 1]),
-        ];
-        if !pair.iter().all(|v| env.is_admissible(v)) {
-            continue;
-        }
-        let valuations = vec![
-            pair[0].clone(), // built
-            pair[1].clone(), // relax-only extension
-            pair[1].clone(), // identical: reuse + memo hits
-            pair[0].clone(), // tighten: in-place prune
-        ];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
-        let specs = random_specs(&mut rng, &model, &mids);
-        for workers in [1, 2, 4] {
-            let base_options = CheckerOptions {
-                workers,
-                wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default()
-            }
-            .with_graph_cache(true)
-            .with_incremental_sweep(true);
-            let (levered, stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                base_options
-                    .with_verdict_memo(true)
-                    .with_tighten_prune(true),
-                1,
-            );
-            if workers == 1 {
-                pruned += stats.pruned_groups();
-                memo_hits += stats.memo_hits();
-            }
-            for (label, variant) in [
-                (
-                    "memo off",
-                    base_options
-                        .with_verdict_memo(false)
-                        .with_tighten_prune(true),
-                ),
-                (
-                    "prune off",
-                    base_options
-                        .with_verdict_memo(true)
-                        .with_tighten_prune(false),
-                ),
-            ] {
-                let (plain, _) =
-                    check_over_sweep_with_stats(&model, &specs, &valuations, variant, 1);
-                for (rl, rp) in levered.iter().zip(&plain) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, {label}",
-                        rl.spec_name
-                    );
-                    assert_eq!(rl.status(), rp.status(), "sweep status differs: {ctx}");
-                    assert_eq!(rl.outcomes.len(), rp.outcomes.len(), "{ctx}");
-                    for (ol, op) in rl.outcomes.iter().zip(&rp.outcomes) {
-                        let cell = format!("{ctx} at {}", ol.params);
-                        assert_eq!(ol.params, op.params, "{cell}");
-                        assert_eq!(ol.skipped, op.skipped, "{cell}");
-                        assert_eq!(ol.outcome.status, op.outcome.status, "{cell}");
-                        assert_eq!(
-                            ol.outcome.states_explored, op.outcome.states_explored,
-                            "state count differs: {cell}"
-                        );
-                        assert_eq!(
-                            ol.outcome.transitions_explored, op.outcome.transitions_explored,
-                            "transition count differs: {cell}"
-                        );
-                        match (&ol.outcome.counterexample, &op.outcome.counterexample) {
-                            (None, None) => {}
-                            (Some(cl), Some(cp)) => {
-                                assert_eq!(cl.initial, cp.initial, "initial differs: {cell}");
-                                assert_eq!(
-                                    cl.schedule.steps(),
-                                    cp.schedule.steps(),
-                                    "schedule differs: {cell}"
-                                );
-                                // a counterexample minted from a pruned or
-                                // memoized graph is a genuine execution
-                                let spec = specs
-                                    .iter()
-                                    .find(|s| s.name() == rl.spec_name)
-                                    .expect("report spec");
-                                let cell_sys = CounterSystem::new(model.clone(), cl.params.clone())
-                                    .expect("admissible");
-                                assert_genuine_violation(&cell_sys, spec, cl, &cell);
-                                replayed += 1;
-                            }
-                            _ => panic!("counterexample presence differs: {cell}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(pruned > 0, "no tighten step was pruned in place");
-    assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
-    assert!(replayed > 0, "no lever-axis counterexample was replayed");
+    // The memoization/compaction levers are pure performance knobs, so
+    // stacking them must not move a verdict either.  This grid runs the
+    // incremental axis's steps in the other order,
+    // [t=2, t=1, t=1, t=2, t=2]: the tighten-only prune comes first, the
+    // verdict memo then serves an identical step on the *pruned* graph, a
+    // relax step extends that pruned graph, and the memo serves the
+    // extended-after-pruned graph.  Every checked cell must still be
+    // bit-identical to a fresh `check_all`, both levers must genuinely act
+    // (≥1 pruned step, ≥1 memo hit, no rebuild), and every counterexample
+    // minted from a pruned or memoised graph must replay strictly.
+    let tally = sweep_against_fresh(|[lo, hi]| {
+        vec![
+            hi.clone(), // built at the lower quorum
+            lo.clone(), // quorum rises: tighten, in-place prune
+            lo.clone(), // identical: memo hits on the pruned graph
+            hi.clone(), // quorum drops: extend the pruned graph
+            hi.clone(), // identical: memo hits on the extended graph
+        ]
+    });
+    assert!(tally.pruned > 0, "no tighten step was pruned in place");
+    assert_eq!(
+        tally.rebuilt, 0,
+        "a guard-adjacent tighten step fell back to a rebuild"
+    );
+    assert!(tally.extended > 0, "no pruned graph was extended");
+    assert!(
+        tally.memo_hits > 0,
+        "no identical step ever hit the verdict memo"
+    );
+    assert!(
+        tally.replayed > 0,
+        "no lever-served counterexample was replayed"
+    );
 }
 
 #[test]
@@ -544,8 +457,7 @@ fn random_systems_interrupt_resume_is_bit_identical() {
     // resuming with a doubled cap walks the job through repeated
     // deterministic interrupts until it completes.  Both job runs must be
     // bit-identical to the reference — verdicts, state counts, transition
-    // counts and counterexample schedules — at 1, 2 and 4 workers, with
-    // the graph cache on and (at one worker) off.
+    // counts and counterexample schedules — at 1, 2 and 4 workers.
     let mut trips = 0usize;
     let mut suspended_builds = 0usize;
     for i in 0..SYSTEMS {
@@ -554,63 +466,57 @@ fn random_systems_interrupt_resume_is_bit_identical() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, sys.model(), &mids);
         for workers in [1, 2, 4] {
-            for graph_cache in [true, false] {
-                if !graph_cache && workers != 1 {
-                    continue;
-                }
-                let options = CheckerOptions {
-                    workers,
-                    wave_size: if workers > 1 { 1 } else { 0 },
-                    ..CheckerOptions::default()
-                }
-                .with_graph_cache(graph_cache);
-                let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
+            let options = CheckerOptions {
+                workers,
+                wave_size: if workers > 1 { 1 } else { 0 },
+                ..CheckerOptions::default()
+            };
+            let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
-                let (direct, _) = CheckJob::new(&sys, &specs, options)
-                    .run()
-                    .completed()
-                    .expect("an unbudgeted job must complete");
+            let (direct, _) = CheckJob::new(&sys, &specs, options)
+                .run()
+                .completed()
+                .expect("an unbudgeted job must complete");
 
-                let mut cap = rng.gen_range(2..=24usize);
-                let mut outcome = CheckJob::new(&sys, &specs, options)
-                    .with_budget(JobBudget::unlimited().with_max_states(cap))
-                    .run();
-                let resumed = loop {
-                    match outcome {
-                        JobOutcome::Completed { outcomes, .. } => break outcomes,
-                        JobOutcome::BudgetExceeded {
-                            reason, checkpoint, ..
-                        } => {
-                            assert!(reason.is_budget(), "seed {seed}: {reason}");
-                            trips += 1;
-                            if checkpoint.has_build_in_flight() {
-                                suspended_builds += 1;
-                            }
-                            cap *= 2;
-                            outcome = CheckJob::new(&sys, &specs, options)
-                                .with_budget(JobBudget::unlimited().with_max_states(cap))
-                                .resume(checkpoint);
+            let mut cap = rng.gen_range(2..=24usize);
+            let mut outcome = CheckJob::new(&sys, &specs, options)
+                .with_budget(JobBudget::unlimited().with_max_states(cap))
+                .run();
+            let resumed = loop {
+                match outcome {
+                    JobOutcome::Completed { outcomes, .. } => break outcomes,
+                    JobOutcome::BudgetExceeded {
+                        reason, checkpoint, ..
+                    } => {
+                        assert!(reason.is_budget(), "seed {seed}: {reason}");
+                        trips += 1;
+                        if checkpoint.has_build_in_flight() {
+                            suspended_builds += 1;
                         }
-                        JobOutcome::Interrupted { .. } => {
-                            panic!("seed {seed}: no cancel token was tripped")
-                        }
+                        cap *= 2;
+                        outcome = CheckJob::new(&sys, &specs, options)
+                            .with_budget(JobBudget::unlimited().with_max_states(cap))
+                            .resume(checkpoint);
                     }
-                };
+                    JobOutcome::Interrupted { .. } => {
+                        panic!("seed {seed}: no cancel token was tripped")
+                    }
+                }
+            };
 
-                for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, cache {graph_cache}, direct job",
-                        spec.name()
-                    );
-                    assert_job_outcome_identical(a, b, &ctx);
-                }
-                for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, cache {graph_cache}, resumed job",
-                        spec.name()
-                    );
-                    assert_job_outcome_identical(a, b, &ctx);
-                }
+            for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
+                let ctx = format!(
+                    "seed {seed}, {} at {workers} workers, direct job",
+                    spec.name()
+                );
+                assert_outcomes_identical(a, b, &ctx);
+            }
+            for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
+                let ctx = format!(
+                    "seed {seed}, {} at {workers} workers, resumed job",
+                    spec.name()
+                );
+                assert_outcomes_identical(a, b, &ctx);
             }
         }
     }
@@ -624,12 +530,9 @@ fn random_systems_interrupt_resume_is_bit_identical() {
     );
 }
 
-/// Bit-identity of a job outcome against its uninterrupted reference.
-fn assert_job_outcome_identical(
-    a: &ccchecker::CheckOutcome,
-    b: &ccchecker::CheckOutcome,
-    ctx: &str,
-) {
+/// Bit-identity of an outcome against its reference: verdict, counts,
+/// detail and counterexample schedule.
+fn assert_outcomes_identical(a: &ccchecker::CheckOutcome, b: &ccchecker::CheckOutcome, ctx: &str) {
     assert_eq!(a.status, b.status, "verdict differs: {ctx}");
     assert_eq!(
         a.states_explored, b.states_explored,

@@ -25,8 +25,8 @@ pub struct VerifierConfig {
     pub max_processes: u64,
     /// Maximum number of valuations checked per protocol.
     pub max_valuations: usize,
-    /// Total thread budget for each property sweep, split between grid
-    /// cells and in-check workers (see `ccchecker::sweep`): `0` defers to
+    /// Total thread budget for each protocol's sweep, handed to the
+    /// in-check workers (see `ccchecker::sweep`): `0` defers to
     /// the `CC_SWEEP_THREADS` environment variable and then to the
     /// available parallelism.
     pub threads: usize,
@@ -93,57 +93,6 @@ impl VerifierConfig {
     /// never changes verdicts or counts).
     pub fn with_wave_size(mut self, wave_size: usize) -> Self {
         self.checker.wave_size = wave_size;
-        self
-    }
-
-    /// This configuration with the reachability-graph cache explicitly
-    /// enabled or disabled for every sweep (overriding `CC_GRAPH_CACHE`;
-    /// see the `ccchecker` crate docs).  The cache never changes a verdict;
-    /// per-obligation state/transition counts under the cache are derived
-    /// from the analysis pass.
-    pub fn with_graph_cache(mut self, enabled: bool) -> Self {
-        self.checker.graph_cache = Some(enabled);
-        self
-    }
-
-    /// This configuration with the incremental sweep explicitly enabled or
-    /// disabled (overriding `CC_SWEEP_INCREMENTAL`; see the "Incremental
-    /// sweeps" section of the `ccchecker` crate docs).  When enabled (the
-    /// default), the sweep carries the reachability graphs of its
-    /// `(start restriction, valuation)` groups across guard-adjacent
-    /// valuations — reusing them outright when the compiled guard bounds
-    /// are identical and extending them incrementally when the step only
-    /// relaxes guards — instead of re-exploring every valuation from
-    /// scratch.  Incremental and from-scratch sweeps are bit-identical in
-    /// verdicts, counts and counterexample schedules.
-    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.checker.incremental_sweep = Some(enabled);
-        self
-    }
-
-    /// This configuration with the per-graph verdict memo explicitly
-    /// enabled or disabled (overriding `CC_VERDICT_MEMO`; see the "Verdict
-    /// memoization & lineage compaction" section of the `ccchecker` crate
-    /// docs).  When enabled (the default), an obligation already answered
-    /// on an unchanged graph generation — e.g. across an
-    /// identical-classified sweep step — is served from the memo without
-    /// running any analysis pass.  Memoised and recomputed sweeps are
-    /// bit-identical in verdicts, counts and counterexample schedules.
-    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.checker.verdict_memo = Some(enabled);
-        self
-    }
-
-    /// This configuration with the tighten-only prune explicitly enabled
-    /// or disabled (overriding `CC_TIGHTEN_PRUNE`; see the "Verdict
-    /// memoization & lineage compaction" section of the `ccchecker` crate
-    /// docs).  When enabled (the default), a sweep step that only tightens
-    /// guard bounds prunes the cached graph in place — re-validating cached
-    /// actions and re-linking — instead of re-exploring from scratch.
-    /// Pruned and fresh graphs are bit-identical in verdicts, counts and
-    /// counterexample schedules.
-    pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.checker.tighten_prune = Some(enabled);
         self
     }
 
@@ -341,6 +290,7 @@ pub fn verify_protocol(protocol: &ProtocolModel, config: &VerifierConfig) -> Pro
             sweep_thread_budget(config.threads),
             &CancelToken::new(),
             config.budget,
+            None,
         )
     };
     let mut take = |n: usize| -> Vec<SweepReport> { reports.drain(..n).collect() };
@@ -385,6 +335,8 @@ pub fn verify_all(config: &VerifierConfig) -> Vec<ProtocolVerification> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccchecker::ExplicitChecker;
+    use cccounter::CounterSystem;
     use ccprotocols::{bstyle, fixed, mmr14, protocol_by_name};
 
     #[test]
@@ -475,97 +427,98 @@ mod tests {
         }
     }
 
+    /// Every checked (not skipped) sweep cell of `result`, with its
+    /// obligation, in catalogue order.
+    fn checked_cells<'r>(
+        p: &ProtocolModel,
+        result: &'r ProtocolVerification,
+    ) -> Vec<(Spec, &'r ccchecker::SweepOutcome)> {
+        let obligations = obligations_for(p, &p.single_round());
+        let specs = obligations
+            .agreement
+            .into_iter()
+            .chain(obligations.validity)
+            .chain(obligations.termination);
+        let reports = [&result.agreement, &result.validity, &result.termination]
+            .into_iter()
+            .flat_map(|prop| &prop.reports);
+        specs
+            .zip(reports)
+            .flat_map(|(spec, report)| {
+                report
+                    .outcomes
+                    .iter()
+                    .filter(|cell| cell.disposition != ccchecker::CellDisposition::Skipped)
+                    .map(move |cell| (spec.clone(), cell))
+            })
+            .collect()
+    }
+
     #[test]
     fn graph_cache_never_changes_verdicts() {
         // MMR14 exercises both a violated obligation (CB2) and held ones;
-        // the cache must agree on every verdict and amortize explorations
+        // every cached cell must carry the per-spec path's verdict, and the
+        // cache must amortize explorations
         let p = mmr14::mmr14();
-        let cached = verify_protocol(&p, &VerifierConfig::quick().with_graph_cache(true));
-        let uncached = verify_protocol(&p, &VerifierConfig::quick().with_graph_cache(false));
-        for (c, u) in [&cached.agreement, &cached.validity, &cached.termination]
-            .into_iter()
-            .zip([
-                &uncached.agreement,
-                &uncached.validity,
-                &uncached.termination,
-            ])
-        {
-            assert_eq!(c.status, u.status, "{}", c.property);
-            assert_eq!(c.nschemas, u.nschemas);
+        let cached = verify_protocol(&p, &VerifierConfig::quick());
+        let single_round = p.single_round();
+        for (spec, cell) in checked_cells(&p, &cached) {
+            let sys = CounterSystem::new(single_round.clone(), cell.params.clone()).unwrap();
+            let direct = ExplicitChecker::new(&sys).check(&spec);
+            assert_eq!(cell.outcome.status, direct.status, "{}", spec.name());
             assert_eq!(
-                c.counterexample.is_some(),
-                u.counterexample.is_some(),
+                cell.outcome.counterexample.is_some(),
+                direct.counterexample.is_some(),
                 "{}",
-                c.property
+                spec.name()
             );
         }
-        assert_eq!(
-            cached.termination.violated_obligation(),
-            uncached.termination.violated_obligation()
-        );
+        assert_eq!(cached.termination.violated_obligation(), Some("CB2"));
         let stats = cached.cache_stats();
         assert!(stats.graphs_built() > 0);
         assert!(stats.specs_served() > stats.graphs_built());
-        assert_eq!(uncached.cache_stats().graphs_built(), 0);
     }
 
     #[test]
     fn incremental_sweep_never_changes_results() {
         // the default config checks two guard-adjacent valuations per
         // protocol, so the incremental sweep serves the second valuation's
-        // groups straight from the lineage — with identical verdicts,
-        // counts and violated obligations.  The budget is pinned, not
-        // inherited from the host: one sweep thread first, then four
+        // groups straight from the lineage — with the verdicts, counts and
+        // counterexamples of a fresh checker per valuation.  The budget is
+        // pinned, not inherited from the host: one sweep thread first,
+        // then four
         let p = mmr14::mmr14();
-        let config = VerifierConfig::default().with_threads(1);
-        let incremental = verify_protocol(
-            &p,
-            &config.with_graph_cache(true).with_incremental_sweep(true),
-        );
-        let fresh = verify_protocol(
-            &p,
-            &config.with_graph_cache(true).with_incremental_sweep(false),
-        );
-        for (i, f) in [
-            &incremental.agreement,
-            &incremental.validity,
-            &incremental.termination,
-        ]
-        .into_iter()
-        .zip([&fresh.agreement, &fresh.validity, &fresh.termination])
-        {
-            assert_eq!(i.status, f.status, "{}", i.property);
-            assert_eq!(i.states, f.states, "{}", i.property);
-            assert_eq!(i.nschemas, f.nschemas, "{}", i.property);
+        let incremental = verify_protocol(&p, &VerifierConfig::default().with_threads(1));
+        let single_round = p.single_round();
+        for (spec, cell) in checked_cells(&p, &incremental) {
+            let sys = CounterSystem::new(single_round.clone(), cell.params.clone()).unwrap();
+            let fresh = ExplicitChecker::new(&sys).check_all(std::slice::from_ref(&spec));
+            let ctx = format!("{} at {}", spec.name(), cell.params);
+            assert_eq!(cell.outcome.status, fresh[0].status, "{ctx}");
             assert_eq!(
-                i.counterexample.is_some(),
-                f.counterexample.is_some(),
-                "{}",
-                i.property
+                cell.outcome.states_explored, fresh[0].states_explored,
+                "{ctx}"
+            );
+            assert_eq!(
+                cell.outcome.transitions_explored, fresh[0].transitions_explored,
+                "{ctx}"
+            );
+            assert_eq!(
+                cell.outcome.counterexample.is_some(),
+                fresh[0].counterexample.is_some(),
+                "{ctx}"
             );
         }
-        assert_eq!(
-            incremental.termination.violated_obligation(),
-            fresh.termination.violated_obligation()
-        );
         // the lineage actually served later valuations without exploring
         assert!(
             incremental.cache.reused_groups() + incremental.cache.extended_groups() > 0,
             "{}",
             incremental.cache
         );
-        assert_eq!(fresh.cache.reused_groups(), 0);
-        assert_eq!(fresh.cache.extended_groups(), 0);
         // a wider budget only feeds in-check workers: the lineage still
         // walks both valuations as one chain, with the same verdicts and
         // the same graph counts
-        let wide = verify_protocol(
-            &p,
-            &VerifierConfig::default()
-                .with_threads(4)
-                .with_graph_cache(true)
-                .with_incremental_sweep(true),
-        );
+        let wide = verify_protocol(&p, &VerifierConfig::default().with_threads(4));
         for (w, i) in [&wide.agreement, &wide.validity, &wide.termination]
             .into_iter()
             .zip([

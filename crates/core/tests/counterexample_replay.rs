@@ -225,15 +225,8 @@ fn counterexamples_from_extended_graphs_replay() {
             start: StartRestriction::RoundStart,
         },
     ];
-    let (reports, stats) = check_over_sweep_with_stats(
-        &single,
-        &specs,
-        &valuations,
-        CheckerOptions::default()
-            .with_graph_cache(true)
-            .with_incremental_sweep(true),
-        1,
-    );
+    let (reports, stats) =
+        check_over_sweep_with_stats(&single, &specs, &valuations, CheckerOptions::default(), 1);
     // the relax-only step was actually taken as an extension
     assert!(
         stats.extended_groups() > 0,

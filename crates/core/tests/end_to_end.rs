@@ -2,6 +2,7 @@
 //! → single-round construction (ccta) → counter systems (cccounter) →
 //! obligations and checking (ccchecker, cccore).
 
+use ccchecker::{CellDisposition, ExplicitChecker};
 use cccore::prelude::*;
 use cccounter::{CounterSystem, EagerAdversary, RandomAdversary, RoundRigid, RunOutcome};
 use ccta::{BinValue, ModelKind, Owner, ParamValuation};
@@ -80,45 +81,41 @@ fn graph_cache_agrees_with_the_per_spec_path_on_every_protocol() {
     // counterexamples must replay.
     let config = VerifierConfig::quick();
     for protocol in all_protocols() {
-        let cached = verify_protocol(&protocol, &config.with_graph_cache(true));
-        let uncached = verify_protocol(&protocol, &config.with_graph_cache(false));
+        let single_round = protocol.single_round();
+        let obligations = obligations_for(&protocol, &single_round);
+        let specs = obligations.all();
+        let cached = verify_protocol(&protocol, &config);
         assert!(
             cached.cache_stats().graphs_built() > 0,
             "{}",
             cached.protocol
         );
-        assert_eq!(uncached.cache_stats().graphs_built(), 0);
-        for (c, u) in [&cached.agreement, &cached.validity, &cached.termination]
+        for report in [&cached.agreement, &cached.validity, &cached.termination]
             .into_iter()
-            .zip([
-                &uncached.agreement,
-                &uncached.validity,
-                &uncached.termination,
-            ])
+            .flat_map(|prop| &prop.reports)
         {
-            assert_eq!(c.status, u.status, "{}/{}", cached.protocol, c.property);
-            for (cr, ur) in c.reports.iter().zip(&u.reports) {
-                assert_eq!(cr.spec_name, ur.spec_name);
+            let spec = specs
+                .iter()
+                .find(|s| s.name() == report.spec_name)
+                .unwrap_or_else(|| panic!("unknown obligation {}", report.spec_name));
+            for cell in &report.outcomes {
+                if cell.disposition == CellDisposition::Skipped {
+                    continue;
+                }
+                let sys = CounterSystem::new(single_round.clone(), cell.params.clone()).unwrap();
+                let direct = ExplicitChecker::new(&sys).check(spec);
                 assert_eq!(
-                    cr.status(),
-                    ur.status(),
-                    "{}/{}",
-                    cached.protocol,
-                    cr.spec_name
+                    cell.outcome.status, direct.status,
+                    "{}/{} at {}",
+                    cached.protocol, report.spec_name, cell.params
                 );
-                for (co, uo) in cr.outcomes.iter().zip(&ur.outcomes) {
-                    assert_eq!(co.outcome.status, uo.outcome.status);
-                    assert_eq!(co.skipped, uo.skipped);
-                    if let Some(ce) = &co.outcome.counterexample {
-                        let sys =
-                            CounterSystem::new(protocol.single_round(), ce.params.clone()).unwrap();
-                        assert!(
-                            ce.schedule.is_empty() || ce.schedule.apply(&sys, &ce.initial).is_ok(),
-                            "{}/{}: cached counterexample must replay",
-                            cached.protocol,
-                            cr.spec_name
-                        );
-                    }
+                if let Some(ce) = &cell.outcome.counterexample {
+                    assert!(
+                        ce.schedule.is_empty() || ce.schedule.apply(&sys, &ce.initial).is_ok(),
+                        "{}/{}: cached counterexample must replay",
+                        cached.protocol,
+                        report.spec_name
+                    );
                 }
             }
         }
